@@ -52,6 +52,11 @@ __all__ = [
 ]
 
 
+# Box cells (tiles x cells per box) the wavefront engine evaluates per
+# sub-batch of a front: bounds its masks and per-lane index arrays.
+CELL_BUDGET = 1 << 17
+
+
 def vector_unsupported_reason(program: GeneratedProgram) -> Optional[str]:
     """Why the vectorized fast path cannot run *program* (None = it can).
 
@@ -360,19 +365,28 @@ class WavefrontEngine:
       unpack round-trip disappears.  Packed edges survive only at rank
       boundaries (SPMD) — exactly the edges the generated C sends over
       MPI;
-    * interval analysis runs **batched**: one integer matmul classifies
-      every validity check of every tile in the front as uniformly
-      true/false or mixed.  Tiles whose box is fully in space and whose
-      checks all collapse are evaluated *fused* — one vector-kernel call
-      per intra-tile level for the whole sub-batch; the rest fall back
-      to the per-tile engine on their own padded row (identical
-      numerics, still no packing).
+    * interval analysis runs **batched**: one integer matmul yields the
+      per-tile base of every space constraint and validity check for the
+      front; parts that are uniform over a tile's box stay per-tile
+      scalars, and only the mixed (tile, part) pairs are compared
+      against the box (``lin >= -base``) to give the in-space mask and
+      the per-template validity masks;
+    * evaluation is a **masked lane gather**: for each intra-tile level
+      the in-space cells of *all* tiles are gathered through precomputed
+      flat offsets into the batch array (one interior offset per box
+      cell, one integer shift per template), handed to the vector kernel
+      in one call, and scattered back in place.  Ragged boundary tiles
+      are lanes of the same calls as full ones; out-of-space interior
+      cells are never written and stay NaN.  A front is evaluated in
+      sub-batches of at most :data:`CELL_BUDGET` box cells, which bounds
+      the masks and index arrays however wide the front is.
 
     Bit-identity with the per-tile path holds because vector kernels are
-    lane-wise: stacking tiles along a batch axis feeds every cell the
-    same dependency values through the same IEEE operations in the same
-    order.  Results are pinned against ``mode="vector"``, the
-    interpreter and ``solve_reference`` in tests/test_wavefront.py.
+    lane-wise: gathering cells of many tiles into one lane array feeds
+    every cell the same dependency values through the same IEEE
+    operations in the same order.  Results are pinned against
+    ``mode="vector"``, the interpreter and ``solve_reference`` in
+    tests/test_wavefront.py.
 
     Construction derives only program-level geometry; per-run state
     (retained interiors, refcounts, parameter-folded check bases) lives
@@ -423,7 +437,6 @@ class WavefrontEngine:
         # single integer matmul yields the per-tile scalar base of every
         # part for the whole batch.
         self._parts = list(eng._space_parts) + list(eng._check_parts)
-        self._n_space = len(eng._space_parts)
         d = len(self.loop_vars)
         if self._parts:
             self._coef = np.array(
@@ -431,7 +444,46 @@ class WavefrontEngine:
             ).T
         else:
             self._coef = np.zeros((d, 0), dtype=np.int64)
-        self.per_template = eng.per_template
+
+        # Lane-gather geometry.  Box cells are kept in level order (the
+        # concatenated intra-tile wavefronts), so the lanes of one level
+        # are one contiguous run of any level-ordered lane array.
+        order = np.concatenate(eng._full_groups)
+        self._level_ends = np.cumsum(
+            [g.size for g in eng._full_groups]
+        ).tolist()
+        self._cell_coords = eng._grids.reshape(d, -1)[:, order]
+        self._cell_offset = np.ravel_multi_index(
+            tuple(self._cell_coords + np.asarray(ghost_lo)[:, None]),
+            self.padded_shape,
+        )
+        self._plane = int(np.prod(self.padded_shape))
+        strides = [int(np.prod(self.padded_shape[k + 1:])) for k in range(d)]
+        templates = dict(self.spec.templates.items())
+        self._templates = list(templates)
+        self._shifts = np.array(
+            [
+                [sum(s * r for s, r in zip(strides, vec))]
+                for vec in templates.values()
+            ],
+            dtype=np.int64,
+        )
+        self._lin = [
+            None if p["lin"] is None else p["lin"].reshape(-1)[order]
+            for p in self._parts
+        ]
+        # Mask planes each part constrains: 0 is the in-space mask,
+        # 1 + t the validity of template t.
+        self._part_planes: List[List[int]] = [
+            [0] for _ in eng._space_parts
+        ] + [
+            [
+                1 + t
+                for t, name in enumerate(self._templates)
+                if idx in eng.per_template[name]
+            ]
+            for idx in range(len(eng._check_parts))
+        ]
 
 
 class WavefrontRun:
@@ -442,7 +494,10 @@ class WavefrontRun:
     consumers still to run), the parameter-folded check bases, and the
     run's ``values``/cell accounting.  Drivers call
     :meth:`execute_batch` once per drained front and
-    :meth:`verify_drained` after the loop.
+    :meth:`verify_drained` after the loop.  Every tile of a front,
+    full or ragged, is evaluated by the one masked lane-gather path
+    (:meth:`_masks` + :meth:`_evaluate`); the per-tile engine is never
+    called from here.
 
     *arena* is an optional externally-owned ``(cap, *padded_shape)``
     float64 buffer backing the batch ghost arrays: when given (and the
@@ -475,10 +530,11 @@ class WavefrontRun:
                 arena.ndim != len(expected) + 1
                 or tuple(arena.shape[1:]) != expected
                 or arena.dtype != np.float64
+                or not arena.flags.c_contiguous
             ):
                 raise RuntimeExecutionError(
-                    f"wavefront arena must be float64 with shape "
-                    f"(cap, {', '.join(map(str, expected))}); got "
+                    f"wavefront arena must be C-contiguous float64 with "
+                    f"shape (cap, {', '.join(map(str, expected))}); got "
                     f"{arena.dtype} {tuple(arena.shape)}"
                 )
         self._arena = arena
@@ -508,53 +564,43 @@ class WavefrontRun:
 
     # -- batched interval analysis -------------------------------------------
 
-    def _classify(self, tiles_arr: np.ndarray):
-        """Fusable mask + per-template scalar validity for one batch.
+    def _masks(self, tiles_arr: np.ndarray) -> np.ndarray:
+        """In-space and per-template validity masks for a sub-batch.
 
-        A tile is *fusable* when its box is entirely in the iteration
-        space and every validity check collapses to a scalar over the
-        box — the batched twin of
-        :meth:`VectorTileEngine._eval_parts` interval analysis.  Mixed
-        tiles fall back to the per-tile engine.
+        The batched twin of :meth:`VectorTileEngine._in_space_mask` and
+        :meth:`VectorTileEngine._template_validity`: a ``(1 + T, B, C)``
+        boolean array over the engine's level-ordered box cells — plane
+        0 is the in-space mask, plane ``1 + t`` the validity of template
+        ``t`` in spec order.  A part that interval analysis finds
+        uniform over a tile's box contributes a per-tile scalar; only
+        the mixed (tile, part) pairs are compared against the box.
         """
         eng = self.engine
-        B = tiles_arr.shape[0]
-        P = len(eng._parts)
-        fused = np.ones(B, dtype=bool)
-        valid: Dict[str, np.ndarray] = {}
         vals = self._base0[None, :] + tiles_arr @ eng._coef
-        uni_true = np.empty((P, B), dtype=bool)
-        uni_false = np.empty((P, B), dtype=bool)
+        masks = np.ones(
+            (1 + len(eng._templates), len(tiles_arr), eng._cell_offset.size),
+            dtype=bool,
+        )
         for i, p in enumerate(eng._parts):
             v = vals[:, i]
-            lin_min = p["lin_min"]
-            lin_max = p["lin_max"]
-            if p["lin"] is None or lin_min == lin_max:
-                vv = v + lin_min
-                t = (vv == 0) if p["is_eq"] else (vv >= 0)
-                f = ~t
-            elif p["is_eq"]:
-                f = (v + lin_min > 0) | (v + lin_max < 0)
-                t = np.zeros(B, dtype=bool)
+            lo = v + p["lin_min"]
+            hi = v + p["lin_max"]
+            if p["is_eq"]:
+                passing = (lo <= 0) & (hi >= 0)
+                mixed = passing & (lo != hi)
             else:
-                t = v + lin_min >= 0
-                f = v + lin_max < 0
-            uni_true[i] = t
-            uni_false[i] = f
-        for i in range(eng._n_space):
-            fused &= uni_true[i]
-        ns = eng._n_space
-        for name, ids in eng.per_template.items():
-            has_false = np.zeros(B, dtype=bool)
-            all_true = np.ones(B, dtype=bool)
-            for idx in ids:
-                has_false |= uni_false[ns + idx]
-                all_true &= uni_true[ns + idx]
-            # Classified = uniformly False (some check fails everywhere)
-            # or uniformly True (every check holds everywhere).
-            fused &= has_false | all_true
-            valid[name] = all_true
-        return fused, valid
+                mixed = (lo < 0) & (hi >= 0)
+                passing = hi >= 0
+            planes = eng._part_planes[i]
+            for plane in planes:
+                masks[plane] &= passing[:, None]
+            if mixed.any():
+                # Compared straight to bool: no int64 (B, C) temporary.
+                neg = -v[mixed, None]
+                box = eng._lin[i] == neg if p["is_eq"] else eng._lin[i] >= neg
+                for plane in planes:
+                    masks[plane, mixed] &= box
+        return masks
 
     # -- batch execution ------------------------------------------------------
 
@@ -618,17 +664,10 @@ class WavefrontRun:
                     del refs[p]
 
         tiles_arr = graph.tile_array[list(rows)]
-        fused, valid = self._classify(tiles_arr)
-        cells = 0
-        tile_engine = eng.tile_engine
-        for b in np.flatnonzero(~fused).tolist():
-            cells += tile_engine.execute_tile(
-                tt[rows[b]], batch[b], self.params, self.values
-            )
-        fi = np.flatnonzero(fused)
-        if fi.size:
-            cells += self._execute_fused(batch, fi, tiles_arr, valid)
-        self.cells += cells
+        flat = batch.reshape(-1)
+        step = max(1, CELL_BUDGET // eng._cell_offset.size)
+        for b0 in range(0, B, step):
+            self._evaluate(flat, b0, tiles_arr[b0:b0 + step])
 
         nlocal = self._nlocal
         interior_slices = eng.interior_slices
@@ -639,73 +678,66 @@ class WavefrontRun:
                 refs[row] = n
         return batch
 
-    def _execute_fused(
-        self,
-        batch: np.ndarray,
-        fi: np.ndarray,
-        tiles_arr: np.ndarray,
-        valid_scalar: Dict[str, np.ndarray],
-    ) -> int:
-        """One fused evaluation of every full, collapsed tile in the batch.
+    def _evaluate(self, flat: np.ndarray, b0: int, tiles_arr: np.ndarray):
+        """Masked lane-gather evaluation of batch rows ``b0:b0+len(tiles_arr)``.
 
-        Cells are flattened tile-major per intra-tile level, so the
-        kernel sees exactly the 1-D lane arrays the per-tile engine
-        feeds it — just more lanes per call.
+        *flat* is the whole batch array, flattened.  Per intra-tile
+        level, the in-space cells of every tile become the lanes of one
+        kernel call — the 1-D lane arrays the per-tile engine feeds it,
+        just more lanes per call — and the result is scattered back in
+        place.
         """
         eng = self.engine
         tile_engine = eng.tile_engine
-        full = fi.size == batch.shape[0]
-        sub = batch if full else batch[fi]
-        Bf = int(fi.size)
-        widths = np.asarray(eng.widths, dtype=np.int64)
-        base = tiles_arr[fi] * widths[None, :]
-        interior = sub[(slice(None),) + eng.interior_slices]
-        views = {
-            name: sub[(slice(None),) + slc]
-            for name, slc in tile_engine.template_slices.items()
-        }
-        vcols = {name: valid_scalar[name][fi] for name in views}
-        vector_kernel = tile_engine.vector_kernel
-        values = self.values
         loop_vars = eng.loop_vars
-        params = self.params
-        for idx in tile_engine._full_wavefronts:
-            L = idx[0].shape[0]
-            point = {
-                x: (base[:, k, None] + idx[k][None, :]).reshape(-1)
-                for k, x in enumerate(loop_vars)
-            }
-            deps: Dict[str, object] = {}
-            valid: Dict[str, object] = {}
-            for name, view in views.items():
-                vals = view[(slice(None),) + idx].reshape(-1)
-                vmask = np.repeat(vcols[name], L)
-                bad = np.isnan(vals) & vmask
-                if bad.any():
-                    j = int(np.flatnonzero(bad)[0])
-                    tile = tuple(tiles_arr[int(fi[j // L])].tolist())
-                    where = {x: int(point[x][j]) for x in loop_vars}
-                    raise RuntimeExecutionError(
-                        f"tile {tile}: dependency {name} of point {where} "
-                        "is valid but its value was never computed or "
-                        "delivered"
-                    )
-                deps[name] = vals
-                valid[name] = vmask
-            out = np.asarray(
-                vector_kernel(point, deps, valid, params), dtype=np.float64
+        names = eng._templates
+        masks = self._masks(tiles_arr)
+        space, validity = masks[0], masks[1:]
+        plane0 = (b0 + np.arange(len(tiles_arr))) * eng._plane
+        base = np.ascontiguousarray(
+            (tiles_arr * np.asarray(eng.widths, dtype=np.int64)).T
+        )
+        vflat = validity.reshape(len(names), -1)
+        lo = 0
+        for hi in eng._level_ends:
+            # Lanes of this level: tile bi, level-ordered box cell ci.
+            bi, ci = np.nonzero(space[:, lo:hi])
+            ci += lo
+            lo = hi
+            if not ci.size:
+                continue
+            self.cells += ci.size
+            here = eng._cell_offset.take(ci) + plane0.take(bi)
+            coords = eng._cell_coords.take(ci, axis=1)
+            coords += base.take(bi, axis=1)
+            vals = flat.take(here + eng._shifts)
+            ci += bi * space.shape[1]  # now the lane's index into vflat
+            vmask = vflat.take(ci, axis=1)
+            bad = np.isnan(vals) & vmask
+            if bad.any():
+                t, j = (int(a[0]) for a in np.nonzero(bad))
+                tile = tuple(tiles_arr[int(bi[j])].tolist())
+                where = dict(zip(loop_vars, coords[:, j].tolist()))
+                raise RuntimeExecutionError(
+                    f"tile {tile}: dependency {names[t]} of point {where} "
+                    "is valid but its value was never computed or "
+                    "delivered"
+                )
+            # Read the kernel off the tile engine per call: tracers wrap
+            # that attribute from outside.
+            flat[here] = np.asarray(
+                tile_engine.vector_kernel(
+                    dict(zip(loop_vars, coords)),
+                    dict(zip(names, vals)),
+                    dict(zip(names, vmask)),
+                    self.params,
+                ),
+                dtype=np.float64,
             )
-            if out.ndim == 0:
-                out = np.broadcast_to(out, (Bf * L,))
-            interior[(slice(None),) + idx] = out.reshape(Bf, L)
-            if values is not None:
-                cols = np.stack(
-                    [point[x] for x in loop_vars], axis=1
-                ).tolist()
-                values.update(zip(map(tuple, cols), out.tolist()))
-        if not full:
-            batch[fi] = sub
-        return Bf * tile_engine._full_cells
+            if self.values is not None:
+                self.values.update(
+                    zip(map(tuple, coords.T.tolist()), flat[here].tolist())
+                )
 
     # -- terminal check -------------------------------------------------------
 

@@ -519,6 +519,11 @@ def _collect_results(
     def drain_ready() -> None:
         for r in sorted(pending):
             conn = pending[r]
+            # Liveness is sampled before the poll: a worker found dead
+            # here has already written whatever it was going to report,
+            # so the poll below cannot miss a report sent just before
+            # exit and blame the reporter for its peer's death.
+            alive = procs[r].is_alive()
             got = False
             try:
                 got = conn.poll()
@@ -543,10 +548,9 @@ def _collect_results(
                         if payload.get("events") is not None:
                             partial_events[r] = payload["events"]
                     continue
-            proc = procs[r]
-            if not got and not proc.is_alive():
+            if not got and not alive:
                 del pending[r]
-                dead[r] = proc.exitcode
+                dead[r] = procs[r].exitcode
 
     def fail(message: str) -> "RuntimeExecutionError":
         grace_deadline = time.monotonic() + _FAILURE_GRACE_S

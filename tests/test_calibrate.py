@@ -96,15 +96,25 @@ class TestInProcessCalibration:
             {"N": 24}
         )
 
-    def test_vector_mode_calibrates_faster_per_cell(self, bandit2_w4_program):
+    def test_vector_and_interpret_calibration_runs_agree(
+        self, bandit2_w4_program
+    ):
+        from repro.runtime import execute
         from repro.simulate import run_in_process
 
+        # Which engine is faster is the benchmark suite's question, not
+        # tier-1's: only deterministic facts are asserted here.
         interp = run_in_process(
             bandit2_w4_program, {"N": 24}, mode="interpret"
         )
         vector = run_in_process(bandit2_w4_program, {"N": 24}, mode="vector")
         assert vector.cells == interp.cells
-        assert vector.seconds < interp.seconds
+        assert vector.seconds > 0 and interp.seconds > 0
+        objectives = {
+            execute(bandit2_w4_program, {"N": 24}, mode=mode).objective_value
+            for mode in ("interpret", "vector")
+        }
+        assert len(objectives) == 1
 
     def test_fit_machine_degenerate_clamps(self):
         from repro.simulate import CalibrationRun, fit_machine

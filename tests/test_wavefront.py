@@ -5,12 +5,16 @@ The wavefront engine is a pure performance transformation — it must be
 untiled ``solve_reference`` oracle on every bundled problem, at every
 tile width, across every rank count.  This suite pins exactly that, plus
 the dispatch/degradation contract (``mode="auto"`` never raises), the
+masked lane-gather path's own contract (no per-tile fallback, masks
+equal to the per-tile engine's, sub-batching invisible), the
 deadlock-free guarantee of batch draining under pathological rank
 partitions, and the static wavefront level invariants the batch
 scheduler relies on.
 """
 
+import ast
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -38,12 +42,18 @@ from repro.runtime import (
     solve_reference,
     tile_graph,
 )
+from repro.runtime import fastpath
+from repro.runtime.fastpath import VectorTileEngine, WavefrontRun
 from repro.runtime.scheduler import TileScheduler, encode_events
 from repro.runtime.spmd import spmd_rank_assignment
 
 
 def _problem_matrix():
-    """Every vector-capable bundled problem at >= 2 tile widths."""
+    """Every vector-capable bundled problem at >= 2 tile widths.
+
+    Nine shapes (Viterbi has no vector kernel); each pair of widths
+    holds one that does not divide the instance extent.
+    """
     out = []
     for w in (3, 4):
         out.append((f"bandit2-w{w}", bandit.two_arm_spec(tile_width=w), {"N": 7}))
@@ -74,6 +84,14 @@ def _problem_matrix():
                 f"lcs2-w{w}",
                 lcs_spec([s1, s2], tile_width=w),
                 {"L1": len(s1), "L2": len(s2)},
+            )
+        )
+    for w in (2, 3):
+        out.append(
+            (
+                f"lcs3-w{w}",
+                lcs_spec(["ACGTA", "GATTA", "CGTAT"], tile_width=w),
+                {"L1": 5, "L2": 5, "L3": 5},
             )
         )
     for w in (2, 3):
@@ -172,7 +190,7 @@ def _bandit_case(draw):
 
 
 class TestPropertySweep:
-    """Randomized instance sweep: the fused path never diverges."""
+    """Randomized instance sweep: the batched path never diverges."""
 
     @settings(
         max_examples=20,
@@ -203,7 +221,7 @@ class TestPropertySweep:
     )
     def test_edit_distance_prefix_sweep(self, la, lb):
         # Prefix runs: the objective tile may be partially out of space,
-        # exercising the per-tile fallback inside a fused batch.
+        # so ragged tiles share a front with full ones.
         program = generate(
             edit_distance_spec("kitten", "sitting", tile_width=4)
         )
@@ -214,6 +232,168 @@ class TestPropertySweep:
         vec = execute(program, params, mode="vector", record_values=True)
         assert wave.objective_value == vec.objective_value
         assert wave.values == vec.values
+
+
+class TestMaskedLaneGather:
+    """The one evaluation path of wavefront mode, ragged tiles included."""
+
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_never_falls_back_to_per_tile_engine(
+        self, case, ranks, monkeypatch
+    ):
+        def execute_tile(*args, **kwargs):
+            raise AssertionError(
+                "wavefront mode called VectorTileEngine.execute_tile"
+            )
+
+        monkeypatch.setattr(VectorTileEngine, "execute_tile", execute_tile)
+        program, params = case
+        wave = execute(
+            program, params, mode="wavefront", ranks=ranks,
+            record_values=True,
+        )
+        ref = solve_reference(program, params, record_values=True)
+        assert wave.mode == "wavefront"
+        assert wave.objective_value == ref.objective_value
+        assert wave.values == ref.values
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_masks_equal_per_tile_engine(self, case, data):
+        program, params = case
+        graph = tile_graph(program, params)
+        engine = compiled_executor(program).wavefront_engine
+        tile_engine = engine.tile_engine
+        # Tiles one step beyond the graph's bounding box too: wholly
+        # out-of-space boxes must classify uniformly false.
+        tiles = data.draw(
+            st.lists(
+                st.tuples(
+                    *(
+                        st.integers(int(lo) - 1, int(hi) + 1)
+                        for lo, hi in zip(
+                            graph.tile_array.min(axis=0),
+                            graph.tile_array.max(axis=0),
+                        )
+                    )
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        masks = WavefrontRun(engine, graph, params)._masks(
+            np.array(tiles, dtype=np.int64)
+        )
+        order = np.concatenate(tile_engine._full_groups)
+
+        def level_ordered(truth):
+            # Scalar True/False (or None = whole box) broadcast.
+            truth = True if truth is None else truth
+            return np.broadcast_to(truth, engine.widths).reshape(-1)[order]
+
+        for b, tile in enumerate(tiles):
+            assert np.array_equal(
+                masks[0, b],
+                level_ordered(tile_engine._in_space_mask(tile, params)),
+            )
+            validity = tile_engine._template_validity(tile, params)
+            for t, name in enumerate(engine._templates):
+                assert np.array_equal(
+                    masks[1 + t, b], level_ordered(validity[name])
+                )
+
+    def test_poisoned_interior_names_tile_template_point(
+        self, bandit2_program
+    ):
+        params = {"N": 8}
+        spec = bandit2_program.spec
+        graph = tile_graph(bandit2_program, params)
+        engine = compiled_executor(bandit2_program).wavefront_engine
+        tiles = graph.tile_tuples
+        ragged = {
+            row
+            for row, tile in enumerate(tiles)
+            if engine.tile_engine._in_space_mask(tile, params) is not None
+        }
+
+        def consumers(row):
+            return set(
+                graph.cons_rows[
+                    graph.cons_ptr[row]:graph.cons_ptr[row + 1]
+                ].tolist()
+            )
+
+        # A producer that feeds ragged boundary tiles only.
+        victim = next(
+            row
+            for row in range(len(tiles))
+            if consumers(row) and consumers(row) <= ragged
+        )
+        run = WavefrontRun(engine, graph, params)
+        sched = TileScheduler(graph, batch=True)
+        sched.seed()
+        with pytest.raises(RuntimeExecutionError) as err:
+            while True:
+                rows = sched.start_batch(0)
+                assert rows, "drained without reading the poisoned interior"
+                run.execute_batch(rows)
+                if victim in rows:
+                    run._store[victim].fill(np.nan)
+                for row in rows:
+                    for consumer, _, _, _ in sched.outgoing(row):
+                        sched.deliver_edge(consumer)
+                    sched.finish_tile(row)
+        found = re.fullmatch(
+            r"tile (\(.*\)): dependency (\w+) of point (\{.*\}) is valid "
+            r"but its value was never computed or delivered",
+            str(err.value),
+        )
+        assert found, str(err.value)
+        tile = ast.literal_eval(found.group(1))
+        vec = dict(spec.templates.items())[found.group(2)]
+        point = ast.literal_eval(found.group(3))
+        coords = [point[x] for x in spec.loop_vars]
+        widths = spec.tile_width_vector()
+        # The consumer tile holds the named point, and the named
+        # template reaches from it into the poisoned producer.
+        assert tiles.index(tile) in consumers(victim)
+        assert tuple(c // w for c, w in zip(coords, widths)) == tile
+        assert (
+            tuple((c + r) // w for c, r, w in zip(coords, vec, widths))
+            == tiles[victim]
+        )
+
+    @pytest.mark.parametrize(
+        "program_fixture, params",
+        [("bandit2_w4_program", {"N": 16}), ("delayed_program", {"N": 8})],
+    )
+    def test_sub_batching_is_invisible(
+        self, program_fixture, params, request, monkeypatch
+    ):
+        program = request.getfixturevalue(program_fixture)
+
+        def run():
+            return execute(
+                program, params, mode="wavefront", record_values=True,
+                record_events=True,
+            )
+
+        default = run()
+        # One tile's worth of box cells: every front splits per tile.
+        monkeypatch.setattr(
+            fastpath,
+            "CELL_BUDGET",
+            int(np.prod(program.spec.tile_width_vector())),
+        )
+        split = run()
+        assert encode_events(split.events) == encode_events(default.events)
+        assert split.cells_computed == default.cells_computed
+        assert split.values == default.values
+        assert split.objective_value == default.objective_value
 
 
 class TestBatchDrainLiveness:
