@@ -82,6 +82,12 @@ def main() -> None:
         f"{total} cells in the full table "
         f"({recovery.edge_memory_cells / total:.0%})"
     )
+    print(
+        f"traceback cost: {recovery.recomputed_tiles} of "
+        f"{len(recovery.graph.tile_tuples)} tiles recomputed, "
+        f"{recovery.cache_hits} lookups served from the tile cache "
+        f"(forward pass ran in {recovery.result.mode} mode)"
+    )
     print()
 
     # Which arm does the optimal adaptive trial pull first?

@@ -21,9 +21,12 @@ Two center-loop engines share that outer protocol:
 ``execute(..., mode=...)`` selects the engine: ``"auto"`` (default)
 uses the fast path whenever the program supports it and falls back to
 the interpreter otherwise; ``"interpret"``/``"vector"`` force one
-engine (``"vector"`` raises when unsupported).  ``execute(..., ranks=P)``
-with ``P > 1`` partitions the tiles by the load balancer's rank
-assignment and runs the multi-rank SPMD harness
+engine (``"vector"`` raises when unsupported).  Edges follow the
+engine: the interpreter packs and unpacks through the generated
+:class:`~repro.generator.packing.PackPlan` scans, the array engines
+through array slices of the same face slabs (byte-identical buffers).
+``execute(..., ranks=P)`` with ``P > 1`` partitions the tiles by the
+load balancer's rank assignment and runs the multi-rank SPMD harness
 (:mod:`repro.runtime.spmd`) instead of the single-rank driver; results
 are bit-identical by construction.  All loop-invariant compiled
 artifacts — the local-space scanner, the validity-check closures, the
@@ -74,7 +77,8 @@ class ExecutionResult:
     #: (producer, consumer) — the raw material of solution recovery
     #: (paper Section VII-A).
     edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = None
-    #: Which center-loop engine produced the numbers ("interpret"/"vector").
+    #: Which center-loop engine produced the numbers: "interpret",
+    #: "vector" or "wavefront" (``keep_edges`` does not change it).
     mode: str = "interpret"
     #: Which SPMD transport ran the ranks: "inline" (cooperative,
     #: single-thread — also the value for plain single-rank runs) or
@@ -160,9 +164,12 @@ class _RunState:
     the reused per-point environments of the interpreter.
     :meth:`execute_tile` evaluates one tile's local iteration space
     (ghosts already unpacked into *array*) with whichever engine the run
-    resolved to — the single-rank executor and the multi-rank SPMD
-    harness call exactly the same body, which is what makes their
-    numbers bit-identical regardless of scheduling.
+    resolved to — the single-rank executor, the multi-rank SPMD harness
+    and solution recovery call exactly the same body, which is what
+    makes their numbers bit-identical regardless of scheduling.
+    :meth:`pack_edge`/:meth:`unpack_edge` are the run's edge transport:
+    array slices for the array engines, the generated
+    :class:`~repro.generator.packing.PackPlan` scans for the interpreter.
     """
 
     def __init__(
@@ -215,6 +222,49 @@ class _RunState:
         value = array[self.ce.program.layout.array_index(local)]
         if not np.isnan(value):
             self.objective_value = float(value)
+
+    def _plan_args(self, tile: TileIndex, delta_id: int):
+        """The interpreter's ``PackPlan`` and its producer environment."""
+        program = self.ce.program
+        env = dict(self.params)
+        env.update(program.spaces.tile_env(tile))
+        return program.pack_plans[program.deltas[delta_id]], env
+
+    def pack_edge(
+        self, tile: TileIndex, delta_id: int, array: np.ndarray
+    ) -> np.ndarray:
+        """Pack the edge *tile* sends along delta *delta_id* out of its
+        padded *array*."""
+        program = self.ce.program
+        if self.engine is not None:
+            return self.engine.pack_edge(
+                tile, program.deltas[delta_id], array, self.params
+            )
+        plan, env = self._plan_args(tile, delta_id)
+        return plan.pack(
+            env, array, program.layout, program.spaces.local_vars
+        )
+
+    def unpack_edge(
+        self,
+        producer: TileIndex,
+        delta_id: int,
+        buffer: np.ndarray,
+        array: np.ndarray,
+    ) -> None:
+        """Scatter *producer*'s packed edge into the ghost margin of the
+        consumer's padded *array*."""
+        program = self.ce.program
+        if self.engine is not None:
+            self.engine.unpack_edge(
+                producer, program.deltas[delta_id], buffer, array,
+                self.params,
+            )
+            return
+        plan, env = self._plan_args(producer, delta_id)
+        plan.unpack(
+            env, buffer, array, program.layout, program.spaces.local_vars
+        )
 
     def execute_tile(self, tile: TileIndex, array: np.ndarray) -> int:
         """Evaluate every in-space cell of *tile*; returns cells computed."""
@@ -377,21 +427,16 @@ class CompiledExecutor:
         self.wavefront_engine  # noqa: B018 - force the probe
         return self._wavefront_reason
 
-    def resolve_mode(
-        self,
-        mode: str,
-        kernel: Optional[Kernel],
-        keep_edges: bool = False,
-    ) -> str:
+    def resolve_mode(self, mode: str, kernel: Optional[Kernel]) -> str:
         """Dispatch ``auto``/``interpret``/``vector``/``wavefront`` to a
         concrete engine.
 
         Auto prefers the wavefront-fused batch path, stepping down to
-        the per-tile vector engine when the run must retain packed edges
-        (``keep_edges`` — wavefront interior edges are array views,
-        never packed) and to the interpreter when the program has no
-        vector kernel, a custom scalar kernel, or engine construction
-        failed.  Forced modes raise instead of degrading.
+        the per-tile vector engine when only the batch engine failed to
+        build and to the interpreter when the program has no vector
+        kernel, a custom scalar kernel, or engine construction failed.
+        Forced modes raise instead of degrading.  ``keep_edges`` plays
+        no part: every engine can retain its packed edges.
         """
         if mode not in EXECUTION_MODES:
             raise RuntimeExecutionError(
@@ -421,19 +466,13 @@ class CompiledExecutor:
         if mode == "vector":
             return "vector"
         if mode == "wavefront":
-            if keep_edges:
-                raise RuntimeExecutionError(
-                    "wavefront mode cannot retain packed edges: interior "
-                    "edges are array views, never packed; use "
-                    "mode='vector' with keep_edges=True"
-                )
             if self.wavefront_engine is None:
                 raise RuntimeExecutionError(
                     f"wavefront mode unavailable: {self._wavefront_reason}"
                 )
             return "wavefront"
         # auto
-        if keep_edges or self.wavefront_engine is None:
+        if self.wavefront_engine is None:
             return "vector"
         return "wavefront"
 
@@ -445,8 +484,9 @@ class CompiledExecutor:
         record_values: bool,
     ) -> _RunState:
         """The per-run numeric state for one resolved engine (see
-        :class:`_RunState`); drivers call ``state.execute_tile`` per
-        started tile."""
+        :class:`_RunState`); per-tile drivers call ``state.execute_tile``
+        per started tile, and every driver packs and unpacks edges
+        through it."""
         if resolved == "interpret":
             if kernel is None:
                 kernel = self.spec.kernel
@@ -455,7 +495,7 @@ class CompiledExecutor:
                     f"problem {self.spec.name!r} has no Python kernel; "
                     "pass kernel="
                 )
-        engine = self.vector_engine if resolved == "vector" else None
+        engine = None if resolved == "interpret" else self.vector_engine
         return _RunState(self, params, kernel, engine, record_values)
 
     # -- the run --------------------------------------------------------------
@@ -474,20 +514,16 @@ class CompiledExecutor:
     ) -> ExecutionResult:
         """One single-rank run: drive the scheduler core, tile by tile."""
         program = self.program
-        resolved = self.resolve_mode(mode, kernel, keep_edges)
+        resolved = self.resolve_mode(mode, kernel)
         params = dict(params)
         if graph is None:
             graph = tile_graph(program, params)
         if resolved == "wavefront":
             return self._run_wavefront(
                 params, graph, priority_scheme, record_values, record_events,
-                schedule,
+                schedule, keep_edges,
             )
-        spaces = program.spaces
         layout = program.layout
-        local_vars = spaces.local_vars
-        deltas = program.deltas
-        pack_plans = program.pack_plans
 
         state = self.make_run_state(params, kernel, resolved, record_values)
         sched = TileScheduler(
@@ -514,22 +550,18 @@ class CompiledExecutor:
 
             # Unpack incoming edges into the ghost margins.
             for producer, delta_id, buffer in sched.consume_edges(row):
-                plan = pack_plans[deltas[delta_id]]
-                env = dict(params)
-                env.update(spaces.tile_env(tile_tuples[producer]))
-                plan.unpack(env, buffer, array, layout, local_vars)
+                state.unpack_edge(
+                    tile_tuples[producer], delta_id, buffer, array
+                )
 
             # Execute the tile's local iteration space in the legal order.
             state.execute_tile(tile, array)
 
             # Pack outgoing edges, deliver to consumers, release the tile.
-            tile_env = dict(params)
-            tile_env.update(spaces.tile_env(tile))
             for consumer, delta_id, _, _ in sched.outgoing(row):
-                plan = pack_plans[deltas[delta_id]]
-                buffer = plan.pack(tile_env, array, layout, local_vars)
+                buffer = state.pack_edge(tile, delta_id, array)
                 if kept_edges is not None:
-                    kept_edges[(tile, tile_tuples[consumer])] = buffer.copy()
+                    kept_edges[(tile, tile_tuples[consumer])] = buffer
                 sched.send_edge(row, consumer, buffer, len(buffer))
                 sched.deliver_edge(consumer)
             sched.finish_tile(row)
@@ -567,16 +599,22 @@ class CompiledExecutor:
         record_values: bool,
         record_events: bool,
         schedule: str = "dynamic",
+        keep_edges: bool = False,
     ) -> ExecutionResult:
         """One single-rank wavefront-fused run: drain whole fronts.
 
         The batch scheduler pops every ready tile of the current static
         wavefront level at once and :class:`WavefrontRun` evaluates the
         front against one shared padded array — interior edges travel as
-        array slices, so nothing is ever packed (the priority scheme is
-        irrelevant here: the schedule *is* the level order).  The
-        per-tile path stays the oracle; results are pinned bit-identical
-        in tests/test_wavefront.py.
+        array slices, so nothing is packed (the priority scheme is
+        irrelevant here: the schedule *is* the level order).  With
+        *keep_edges* every edge instead takes the packed route the SPMD
+        drivers use at rank boundaries — array-packed from the batch,
+        buffered in the scheduler, array-unpacked into the consumer's
+        front — so the retained edges and the edge-memory accounting
+        mean what they mean in the per-tile drivers.  The per-tile path
+        stays the oracle; results are pinned bit-identical in
+        tests/test_wavefront.py.
         """
         state = self.make_run_state(params, None, "wavefront", record_values)
         sched = TileScheduler(
@@ -598,21 +636,30 @@ class CompiledExecutor:
         )
         run = WavefrontRun(
             self.wavefront_engine, graph, params, values=state.values,
-            arena=arena,
+            arena=arena, keep_edges=keep_edges,
         )
 
         tile_tuples = graph.tile_tuples
+        kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
+            {} if keep_edges else None
+        )
         tile_order: List[TileIndex] = []
         while True:
             rows = sched.start_batch(0)
             if not rows:
                 break
-            batch = run.execute_batch(rows)
+            batch = run.execute_batch(
+                rows, packed=sched.take_front_edges(rows, keep_edges)
+            )
             for b, row in enumerate(rows):
                 tile = tile_tuples[row]
                 tile_order.append(tile)
                 state.note_objective(tile, batch[b])
-                for consumer, _, _, _ in sched.outgoing(row):
+                for consumer, delta_id, _, _ in sched.outgoing(row):
+                    if kept_edges is not None:
+                        buffer = state.pack_edge(tile, delta_id, batch[b])
+                        kept_edges[(tile, tile_tuples[consumer])] = buffer
+                        sched.send_edge(row, consumer, buffer, len(buffer))
                     sched.deliver_edge(consumer)
                 sched.finish_tile(row)
 
@@ -633,7 +680,7 @@ class CompiledExecutor:
             tile_order=tile_order,
             memory=sched.memory_snapshot(),
             values=state.values,
-            edges=None,
+            edges=kept_edges,
             mode="wavefront",
             ranks=1,
             memory_per_rank=sched.memory_per_rank(),
@@ -678,11 +725,11 @@ def execute(
     retains every packed edge after the run — O(n^(d-1)) memory instead
     of the O(n^d) full space — enabling solution recovery by on-the-fly
     tile recomputation (paper Section VII-A; see
-    :class:`repro.runtime.recover.SolutionRecovery`).  *mode* selects
+    :class:`repro.runtime.recover.SolutionRecovery`); it works under
+    every engine and does not change which one runs.  *mode* selects
     the center-loop engine: ``"auto"`` (wavefront-fused batch execution
     when the spec has a vector kernel and no custom *kernel* is given,
-    stepping down to the per-tile vector engine under *keep_edges* and
-    to the interpreter otherwise), ``"interpret"``, ``"vector"``, or
+    the interpreter otherwise), ``"interpret"``, ``"vector"``, or
     ``"wavefront"`` (forced modes raise when the engine cannot run this
     program).  *ranks* > 1 partitions the tiles
     with the load balancer (*lb_method*) and runs the SPMD harness —

@@ -24,9 +24,12 @@ numpy operations instead:
    values are whole-array *views* of the padded ghost array shifted by
    the template vector — no gather logic beyond numpy fancy indexing.
 
-3. **Pack/unpack plans are reused unchanged** — the engine only replaces
-   the center loop; the edge protocol, memory accounting and tile
-   ordering are byte-for-byte those of the interpreter.
+3. **Edges are array slices** — a packed edge is the producer's
+   static face slab selected by its in-space mask
+   (:meth:`VectorTileEngine.pack_edge` / :meth:`~VectorTileEngine.unpack_edge`),
+   byte for byte the buffer :class:`~repro.generator.packing.PackPlan`
+   scans cell by cell; the edge protocol, memory accounting and tile
+   ordering are those of the interpreter.
 
 The engine is bit-identical to the interpreter: vector kernels apply the
 same IEEE operations in the same order, and the cross-check suite
@@ -40,7 +43,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import RuntimeExecutionError
+from ..errors import GenerationError, RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
 from ..polyhedra import Constraint
 
@@ -165,6 +168,23 @@ class VectorTileEngine:
                 for lo, r, w in zip(layout.ghost_lo, vec, self.widths)
             )
 
+        # Edge geometry per delta (producer = consumer + delta): the
+        # producer-interior face slab a neighbour can see, and the
+        # window of the consumer's padded array it lands in.  With
+        # ``i_consumer = i_producer + w_k * delta_k`` both are static.
+        self.fill_slices: Dict[tuple, Tuple[tuple, tuple]] = {}
+        for delta in program.deltas:
+            src: List[slice] = []
+            dst: List[slice] = []
+            for d, w, lo, hi in zip(
+                delta, self.widths, layout.ghost_lo, layout.ghost_hi
+            ):
+                p_lo = max(0, -lo - d * w)
+                p_hi = min(w, w + hi - d * w)
+                src.append(slice(p_lo, p_hi))
+                dst.append(slice(p_lo + d * w + lo, p_hi + d * w + lo))
+            self.fill_slices[delta] = (tuple(src), tuple(dst))
+
         # Local-coordinate grids and the wavefront level function.
         grids = np.indices(self.widths)
         self._grids = grids
@@ -264,6 +284,58 @@ class VectorTileEngine:
                 fronts.append(np.unravel_index(sel, self.widths))
         return fronts
 
+    # -- array pack / unpack ---------------------------------------------------
+
+    def pack_edge(
+        self,
+        tile: Tuple[int, ...],
+        delta: Tuple[int, ...],
+        array: np.ndarray,
+        params: Mapping[str, int],
+    ) -> np.ndarray:
+        """The packed edge *tile* sends along *delta*, from its padded *array*.
+
+        The face slab's in-space cells in C order — the lexicographic
+        scan of :meth:`repro.generator.packing.PackPlan.pack`, without
+        visiting cells one by one.
+        """
+        src, _ = self.fill_slices[delta]
+        slab = array[self.interior_slices][src]
+        mask = self._in_space_mask(tile, params)
+        if mask is None:
+            return slab.reshape(-1).copy()
+        return slab[mask[src]]
+
+    def unpack_edge(
+        self,
+        producer: Tuple[int, ...],
+        delta: Tuple[int, ...],
+        buffer: np.ndarray,
+        array: np.ndarray,
+        params: Mapping[str, int],
+    ) -> None:
+        """Scatter *producer*'s packed edge into the consumer's ghost margin.
+
+        The array twin of :meth:`repro.generator.packing.PackPlan.unpack`:
+        the same cells in the same order, selected by the *producer's*
+        in-space mask over its face slab.
+        """
+        src, dst = self.fill_slices[delta]
+        window = array[dst]
+        mask = self._in_space_mask(producer, params)
+        if mask is not None:
+            mask = mask[src]
+        cells = window.size if mask is None else int(np.count_nonzero(mask))
+        if cells != len(buffer):
+            raise GenerationError(
+                f"unpack consumed {cells} cells but the buffer holds "
+                f"{len(buffer)}; pack/unpack iteration spaces diverged"
+            )
+        if mask is None:
+            window[...] = buffer.reshape(window.shape)
+        else:
+            window[mask] = buffer
+
     # -- tile execution -------------------------------------------------------
 
     def execute_tile(
@@ -349,11 +421,10 @@ class WavefrontEngine:
     """Evaluates whole ready-fronts of tiles as one batched operation.
 
     The per-tile :class:`VectorTileEngine` still pays Python per tile:
-    one ghost-array allocation, one pack/unpack round-trip per edge (a
-    cell-by-cell Python loop), one validity evaluation, and one kernel
-    call per intra-tile wavefront.  This engine amortizes all of that
-    over a *batch* — every simultaneously-ready tile of one static
-    wavefront level (see
+    one ghost-array allocation, one pack/unpack round-trip per edge,
+    one validity evaluation, and one kernel call per intra-tile
+    wavefront.  This engine amortizes all of that over a *batch* —
+    every simultaneously-ready tile of one static wavefront level (see
     :meth:`repro.runtime.scheduler.TileScheduler.start_batch`):
 
     * the batch shares a single padded ghost array of shape
@@ -362,9 +433,11 @@ class WavefrontEngine:
       margin is filled directly from the retained interior of its
       producer (``fill_slices`` maps each delta to a static
       producer-slab → consumer-window slice pair), so the pack/copy/
-      unpack round-trip disappears.  Packed edges survive only at rank
+      unpack round-trip disappears.  Packed edges survive at rank
       boundaries (SPMD) — exactly the edges the generated C sends over
-      MPI;
+      MPI — and, under ``keep_edges``, everywhere; they are the same
+      slabs, array-packed by the per-tile engine's
+      :meth:`~VectorTileEngine.pack_edge`;
     * interval analysis runs **batched**: one integer matmul yields the
       per-tile base of every space constraint and validity check for the
       front; parts that are uniform over a tile's box stay per-tile
@@ -411,26 +484,7 @@ class WavefrontEngine:
         self.padded_shape = tuple(eng.layout.padded_shape)
         self.interior_slices = eng.interior_slices
         self.deltas = list(program.deltas)
-
-        # Ghost-fill geometry per delta (producer = consumer + delta):
-        # the producer-interior slab visible through the consumer's
-        # padded window, and the window slice it lands in.  With
-        # ``i_consumer = i_producer + w_k * delta_k`` both are static.
-        ghost_lo = eng.layout.ghost_lo
-        ghost_hi = eng.layout.ghost_hi
-        self.fill_slices: Dict[tuple, Tuple[tuple, tuple]] = {}
-        for delta in self.deltas:
-            src: List[slice] = []
-            dst: List[slice] = []
-            for k, d in enumerate(delta):
-                w = self.widths[k]
-                lo = ghost_lo[k]
-                hi = ghost_hi[k]
-                p_lo = max(0, -lo - d * w)
-                p_hi = min(w, w + hi - d * w)
-                src.append(slice(p_lo, p_hi))
-                dst.append(slice(p_lo + d * w + lo, p_hi + d * w + lo))
-            self.fill_slices[delta] = (tuple(src), tuple(dst))
+        self.fill_slices = eng.fill_slices
 
         # Batched interval analysis: stack every space constraint and
         # validity check into one (d, P) tile-coefficient matrix so a
@@ -454,7 +508,9 @@ class WavefrontEngine:
         ).tolist()
         self._cell_coords = eng._grids.reshape(d, -1)[:, order]
         self._cell_offset = np.ravel_multi_index(
-            tuple(self._cell_coords + np.asarray(ghost_lo)[:, None]),
+            tuple(
+                self._cell_coords + np.asarray(eng.layout.ghost_lo)[:, None]
+            ),
             self.padded_shape,
         )
         self._plane = int(np.prod(self.padded_shape))
@@ -492,12 +548,13 @@ class WavefrontRun:
     Holds the retained tile interiors (the slice-copy substitute for
     packed interior edges), their refcounts (number of *same-rank*
     consumers still to run), the parameter-folded check bases, and the
-    run's ``values``/cell accounting.  Drivers call
-    :meth:`execute_batch` once per drained front and
-    :meth:`verify_drained` after the loop.  Every tile of a front,
-    full or ragged, is evaluated by the one masked lane-gather path
-    (:meth:`_masks` + :meth:`_evaluate`); the per-tile engine is never
-    called from here.
+    run's ``values``/cell accounting.  With *keep_edges* every edge
+    arrives packed (the driver retains them all), so no interior is
+    retained at all.  Drivers call :meth:`execute_batch` once per
+    drained front and :meth:`verify_drained` after the loop.  Every
+    tile of a front, full or ragged, is evaluated by the one masked
+    lane-gather path (:meth:`_masks` + :meth:`_evaluate`); the per-tile
+    engine's ``execute_tile`` is never called from here.
 
     *arena* is an optional externally-owned ``(cap, *padded_shape)``
     float64 buffer backing the batch ghost arrays: when given (and the
@@ -518,6 +575,7 @@ class WavefrontRun:
         rank_of: Optional[Sequence[int]] = None,
         values: Optional[Dict[Tuple[int, ...], float]] = None,
         arena: Optional[np.ndarray] = None,
+        keep_edges: bool = False,
     ):
         self.engine = engine
         self.graph = graph
@@ -552,7 +610,9 @@ class WavefrontRun:
         # shared array (same rank); cross-rank consumers go through
         # packed edges and are not counted.
         counts = np.diff(graph.cons_ptr)
-        if rank_of is None:
+        if keep_edges:
+            self._nlocal = np.zeros(counts.size, dtype=np.int64)
+        elif rank_of is None:
             self._nlocal = counts.astype(np.int64)
         else:
             r = np.asarray(rank_of, dtype=np.int64)
@@ -613,7 +673,9 @@ class WavefrontRun:
 
         *rows* are mutually independent (one ``start_batch`` result).
         *packed* maps ``(producer_row, row)`` to a packed edge buffer
-        for edges that crossed a rank boundary; every other incoming
+        for edges that crossed a rank boundary (under ``keep_edges``:
+        every edge) and is emptied as they are array-unpacked; an entry
+        no row of this front consumes raises.  Every other incoming
         edge is ghost-filled by slicing the producer's retained
         interior.  The returned ``(B, *padded_shape)`` array row ``b``
         is tile ``rows[b]``'s padded array — drivers read objective
@@ -636,8 +698,7 @@ class WavefrontRun:
         deltas = eng.deltas
         store = self._store
         refs = self._refs
-        program = eng.program
-        spaces = program.spaces
+        unpack_edge = eng.tile_engine.unpack_edge
         tt = graph.tile_tuples
         for b, row in enumerate(rows):
             arr = batch[b]
@@ -645,10 +706,9 @@ class WavefrontRun:
                 p = int(prows[e])
                 buf = packed.pop((p, row), None) if packed else None
                 if buf is not None:
-                    plan = program.pack_plans[deltas[int(pdelta[e])]]
-                    env = dict(self.params)
-                    env.update(spaces.tile_env(tt[p]))
-                    plan.unpack(env, buf, arr, eng.layout, spaces.local_vars)
+                    unpack_edge(
+                        tt[p], deltas[int(pdelta[e])], buf, arr, self.params
+                    )
                     continue
                 interior = store.get(p)
                 if interior is None:
@@ -662,6 +722,12 @@ class WavefrontRun:
                 if refs[p] == 0:
                     del store[p]
                     del refs[p]
+        if packed:
+            p, row = next(iter(packed))
+            raise RuntimeExecutionError(
+                f"packed edge from tile {tt[p]} to tile {tt[row]} was "
+                "handed to a front that does not consume it"
+            )
 
         tiles_arr = graph.tile_array[list(rows)]
         flat = batch.reshape(-1)

@@ -323,13 +323,10 @@ def _worker_run(
     graph = ctx.graph
     params = ctx.params
     ce = compiled_executor(program)
-    spaces = program.spaces
     layout = program.layout
-    local_vars = spaces.local_vars
-    deltas = program.deltas
-    pack_plans = program.pack_plans
     tile_tuples = graph.tile_tuples
     wavefront = ctx.resolved == "wavefront"
+    keep_edges = ctx.keep_edges
 
     sched = TileScheduler(
         graph,
@@ -354,14 +351,30 @@ def _worker_run(
     if wavefront:
         run = WavefrontRun(
             ce.wavefront_engine, graph, params, rank_of=ctx.rank_of,
-            values=state.values, arena=ctx.arena,
+            values=state.values, arena=ctx.arena, keep_edges=keep_edges,
         )
-        pptr = graph.prod_ptr.tolist()
-        prows = graph.prod_rows.tolist()
     kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
-        {} if ctx.keep_edges else None
+        {} if keep_edges else None
     )
     scratch = ctx.arena[0] if (not wavefront and ctx.arena is not None) else None
+    # A wavefront run's same-rank edges travel as retained-interior
+    # slices; every other edge (all of them under keep_edges) is packed.
+    slice_local = wavefront and not keep_edges
+
+    def send_edges(row: int, tile: TileIndex, array: np.ndarray) -> None:
+        """Pack and ship the finished tile's outgoing edges."""
+        for consumer, delta_id, _, dest in sched.outgoing(row):
+            if dest == rank and slice_local:
+                sched.deliver_edge(consumer)
+                continue
+            buffer = state.pack_edge(tile, delta_id, array)
+            if kept_edges is not None:
+                kept_edges[(tile, tile_tuples[consumer])] = buffer
+            if dest == rank:
+                sched.send_edge(row, consumer, buffer, len(buffer))
+                sched.deliver_edge(consumer)
+            else:
+                _post_edge(ctx, row, consumer, buffer)
 
     last_progress = time.monotonic()
     while sched.finished_per_rank[rank] < my_total:
@@ -371,30 +384,14 @@ def _worker_run(
             rows = sched.start_batch(rank)
             if rows:
                 progress = True
-                packed: Dict[Tuple[int, int], np.ndarray] = {}
-                for row in rows:
-                    for e in range(pptr[row], pptr[row + 1]):
-                        p = prows[e]
-                        if ctx.rank_of[p] != rank:
-                            packed[(p, row)] = sched.take_edge(p, row)
-                batch = run.execute_batch(rows, packed=packed)
+                batch = run.execute_batch(
+                    rows, packed=sched.take_front_edges(rows, keep_edges)
+                )
                 for b, row in enumerate(rows):
                     tile = tile_tuples[row]
                     tile_order.append(tile)
                     state.note_objective(tile, batch[b])
-                    tile_env: Optional[Dict[str, int]] = None
-                    for consumer, delta_id, _, dest in sched.outgoing(row):
-                        if dest == rank:
-                            sched.deliver_edge(consumer)
-                        else:
-                            if tile_env is None:
-                                tile_env = dict(params)
-                                tile_env.update(spaces.tile_env(tile))
-                            plan = pack_plans[deltas[delta_id]]
-                            buffer = plan.pack(
-                                tile_env, batch[b], layout, local_vars
-                            )
-                            _post_edge(ctx, row, consumer, buffer)
+                    send_edges(row, tile, batch[b])
                     sched.finish_tile(row)
         else:
             row = sched.start_tile(rank)
@@ -410,25 +407,11 @@ def _worker_run(
                         layout.padded_shape, np.nan, dtype=np.float64
                     )
                 for producer, delta_id, buffer in sched.consume_edges(row):
-                    plan = pack_plans[deltas[delta_id]]
-                    env = dict(params)
-                    env.update(spaces.tile_env(tile_tuples[producer]))
-                    plan.unpack(env, buffer, array, layout, local_vars)
+                    state.unpack_edge(
+                        tile_tuples[producer], delta_id, buffer, array
+                    )
                 state.execute_tile(tile, array)
-                tile_env = dict(params)
-                tile_env.update(spaces.tile_env(tile))
-                for consumer, delta_id, _, dest in sched.outgoing(row):
-                    plan = pack_plans[deltas[delta_id]]
-                    buffer = plan.pack(tile_env, array, layout, local_vars)
-                    if kept_edges is not None:
-                        kept_edges[(tile, tile_tuples[consumer])] = (
-                            buffer.copy()
-                        )
-                    if dest == rank:
-                        sched.send_edge(row, consumer, buffer, len(buffer))
-                        sched.deliver_edge(consumer)
-                    else:
-                        _post_edge(ctx, row, consumer, buffer)
+                send_edges(row, tile, array)
                 sched.finish_tile(row)
 
         if progress:
@@ -636,7 +619,7 @@ def run_spmd_process(
     mp_ctx = multiprocessing.get_context("fork")
 
     ce = compiled_executor(program)
-    resolved = ce.resolve_mode(mode, kernel, keep_edges)
+    resolved = ce.resolve_mode(mode, kernel)
     params = dict(params)
     if graph is None:
         graph = tile_graph(program, params)

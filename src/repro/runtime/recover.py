@@ -9,20 +9,27 @@ recalculated on the fly during the traceback".
 
 :class:`SolutionRecovery` does exactly that: one forward pass through
 the scheduler-driven executor with ``keep_edges=True`` retains the
-O(n^(d-1)) packed edges; any tile can then be recomputed in isolation
-by unpacking its stored incoming edges and re-running the kernel over
-its local space.  ``value_at`` answers point queries, and ``traceback``
-walks a user-supplied policy through the space, recomputing tiles on
-demand (with a small LRU of recomputed tiles, since tracebacks revisit
-neighbours).
+O(n^(d-1)) packed edges (at wavefront speed whenever the program has a
+vector kernel — ``keep_edges`` does not change the engine); any tile can
+then be recomputed in isolation by unpacking its stored incoming edges
+into one padded array and re-evaluating its local space.  The padded
+array is what gets cached (a small LRU): ``value_at`` indexes its
+interior and ``dependencies_at`` reads its ghost margins — the unpacked
+edges *are* the neighbours' cells — so a ``traceback`` recomputes only
+the tiles its path enters, not every neighbour it looks at.
+``recomputed_tiles`` and ``cache_hits`` count what a walk cost.
 
-Recovery owns no scheduling or compilation machinery of its own: the
-forward pass is :func:`repro.runtime.executor.execute` (and therefore
-:class:`repro.runtime.scheduler.TileScheduler`), tile recomputation
-reuses the :class:`~repro.runtime.executor.CompiledExecutor`'s cached
-scanner and public ``validity_checks``, and producer edges come from
-the graph's CSR arrays — the same delta-order walk the unpack loop
-uses.
+Recovery owns no scheduling, compilation or evaluation machinery of its
+own: the forward pass is :func:`repro.runtime.executor.execute`, and a
+tile is recomputed by the executor's shared tile body and edge transport
+(:class:`~repro.runtime.executor._RunState`) under the engine the
+forward pass resolved to — array unpack plus the vector engine, or, for
+programs with no vector kernel or a custom scalar kernel, the
+``PackPlan`` scans plus the interpreter — with every check that body
+performs (a valid dependency whose saved value is missing or NaN
+raises, naming tile, template and point).  Producer edges come from the
+graph's CSR arrays, the same delta-order walk the drivers' unpack loops
+use.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from ..errors import RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
 from ..spec import Kernel
 from .executor import compiled_executor, execute
-from .graph import TileGraph, TileIndex, tile_graph
+from .graph import TileIndex, tile_graph
 
 Point = Tuple[int, ...]
 
@@ -76,80 +83,68 @@ class SolutionRecovery:
             keep_edges=True,
             schedule=schedule,
         )
-        self._cache: "OrderedDict[TileIndex, Dict[Point, float]]" = OrderedDict()
+        self._cache: "OrderedDict[TileIndex, np.ndarray]" = OrderedDict()
         self._cache_tiles = cache_tiles
-        # The executor's compiled artifacts, shared rather than re-derived:
-        # the local-space scanner and the validity-check closures.
+        #: Tiles recomputed from their saved edges / served from the LRU.
+        self.recomputed_tiles = 0
+        self.cache_hits = 0
+        # The executor's tile body and edge transport, under the engine
+        # the forward pass ran.
         self._compiled = compiled_executor(program)
-        self._check_fns, self._per_template = self._compiled.validity_checks
+        self._state = self._compiled.make_run_state(
+            self.params, self.kernel, self.result.mode, record_values=False
+        )
 
     # -- tile recomputation -------------------------------------------------
 
-    def tile_values(self, tile: TileIndex) -> Dict[Point, float]:
-        """All cell values of one tile, recomputed from its saved edges."""
-        cached = self._cache.get(tile)
-        if cached is not None:
+    def _tile_array(self, tile: TileIndex) -> np.ndarray:
+        """The tile's padded array — interior recomputed, ghost margins
+        holding its saved incoming edges — through the LRU."""
+        array = self._cache.get(tile)
+        if array is not None:
             self._cache.move_to_end(tile)
-            return cached
-        program = self.program
-        spec = program.spec
-        spaces = program.spaces
-        layout = program.layout
-        params = self.params
-        deltas = program.deltas
+            self.cache_hits += 1
+            return array
         edges = self.result.edges
         assert edges is not None
         row = self.graph.row_of(tile)
         tile_tuples = self.graph.tile_tuples
-
-        array = np.full(layout.padded_shape, np.nan)
+        array = np.full(self.program.layout.padded_shape, np.nan)
         for producer_row, delta_id in self.graph.producer_edges(row):
             producer = tile_tuples[producer_row]
-            plan = program.pack_plans[deltas[delta_id]]
-            env = dict(params)
-            env.update(spaces.tile_env(producer))
-            plan.unpack(
-                env, edges[(producer, tile)], array, layout, spaces.local_vars
-            )
-
-        scan = self._compiled.scan
-        tile_env = dict(params)
-        tile_env.update(spaces.tile_env(tile))
-        widths = spec.tile_width_vector()
-        template_items = list(spec.templates.items())
-
-        values: Dict[Point, float] = {}
-        for local in scan(tile_env):
-            point = {
-                x: widths[k] * tile[k] + local[k]
-                for k, x in enumerate(spec.loop_vars)
-            }
-            genv = dict(params)
-            genv.update(point)
-            deps: Dict[str, Optional[float]] = {}
-            for name, vec in template_items:
-                ok = all(
-                    self._check_fns[i](genv)
-                    for i in self._per_template[name]
+            buffer = edges.get((producer, tile))
+            if buffer is None:
+                raise RuntimeExecutionError(
+                    f"tile {tile}: the saved edge from its producer "
+                    f"{producer} is missing"
                 )
-                if ok:
-                    ghost = tuple(i + r for i, r in zip(local, vec))
-                    deps[name] = float(array[layout.array_index(ghost)])
-                else:
-                    deps[name] = None
-            value = float(self.kernel(point, deps, params))
-            array[layout.array_index(local)] = value
-            values[tuple(point[v] for v in spec.loop_vars)] = value
-
-        self._cache[tile] = values
+            self._state.unpack_edge(producer, delta_id, buffer, array)
+        self._state.execute_tile(tile, array)
+        self.recomputed_tiles += 1
+        self._cache[tile] = array
         if len(self._cache) > self._cache_tiles:
             self._cache.popitem(last=False)
-        return values
+        return array
+
+    def tile_values(self, tile: TileIndex) -> Dict[Point, float]:
+        """All cell values of one tile, recomputed from its saved edges."""
+        array = self._tile_array(tile)
+        layout = self.program.layout
+        widths = layout.widths
+        tile_env = dict(self.params)
+        tile_env.update(self.program.spaces.tile_env(tile))
+        return {
+            tuple(w * t + i for w, t, i in zip(widths, tile, local)):
+                float(array[layout.array_index(local)])
+            for local in self._compiled.scan(tile_env)
+        }
 
     # -- queries -------------------------------------------------------------
 
-    def value_at(self, point: Mapping[str, int]) -> float:
-        """The DP value at any iteration-space point."""
+    def _locate(self, point: Mapping[str, int]):
+        """``(array, local, env)`` of an in-space *point*: its tile's
+        padded array, its local coordinates there, and the global
+        environment (params + point) the validity checks read."""
         spec = self.program.spec
         env = dict(self.params)
         env.update(point)
@@ -158,25 +153,43 @@ class SolutionRecovery:
                 f"point {dict(point)} is outside the iteration space"
             )
         tile = self.program.spaces.point_to_tile(point)
-        key = tuple(point[v] for v in spec.loop_vars)
-        return self.tile_values(tile)[key]
+        local = tuple(
+            point[v] - w * t
+            for v, w, t in zip(spec.loop_vars, self.program.layout.widths, tile)
+        )
+        return self._tile_array(tile), local, env
+
+    def _dependencies(
+        self, array: np.ndarray, local: Point, env: Mapping[str, int]
+    ) -> Dict[str, Optional[float]]:
+        """Dependency values of a located point, read off its own tile's
+        array: a dependency in a neighbouring tile sits in the ghost
+        margin, delivered by that tile's saved edge.  Validity is the
+        executor's compiled ``is_valid_r*`` — the predicate under which
+        the tile body already checked the value is there."""
+        layout = self.program.layout
+        check_fns, per_template = self._compiled.validity_checks
+        out: Dict[str, Optional[float]] = {}
+        for name, vec in self._compiled.template_items:
+            if all(check_fns[i](env) for i in per_template[name]):
+                ghost = tuple(i + r for i, r in zip(local, vec))
+                out[name] = float(array[layout.array_index(ghost)])
+            else:
+                out[name] = None
+        return out
+
+    def value_at(self, point: Mapping[str, int]) -> float:
+        """The DP value at any iteration-space point."""
+        array, local, _ = self._locate(point)
+        return float(array[self.program.layout.array_index(local)])
 
     def dependencies_at(
         self, point: Mapping[str, int]
     ) -> Dict[str, Optional[float]]:
-        """Dependency values of a point (None where invalid)."""
-        spec = self.program.spec
-        out: Dict[str, Optional[float]] = {}
-        for name in spec.templates.names():
-            offsets = spec.templates.as_offset_map(name)
-            target = {v: point[v] + offsets[v] for v in spec.loop_vars}
-            env = dict(self.params)
-            env.update(target)
-            if spec.constraints.satisfied(env):
-                out[name] = self.value_at(target)
-            else:
-                out[name] = None
-        return out
+        """Dependency values of an iteration-space point (None where
+        invalid); recomputes no tile but the point's own."""
+        array, local, env = self._locate(point)
+        return self._dependencies(array, local, env)
 
     def traceback(
         self,
@@ -190,11 +203,13 @@ class SolutionRecovery:
         entry has ``None`` as its choice.
         """
         spec = self.program.spec
+        layout = self.program.layout
         point = dict(start if start is not None else spec.objective(self.params))
         path: List[Tuple[Dict[str, int], Optional[str]]] = []
         for _ in range(max_steps):
-            value = self.value_at(point)
-            deps = self.dependencies_at(point)
+            array, local, env = self._locate(point)
+            value = float(array[layout.array_index(local)])
+            deps = self._dependencies(array, local, env)
             choice = policy(point, deps, value)
             path.append((dict(point), choice))
             if choice is None:

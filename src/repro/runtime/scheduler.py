@@ -698,10 +698,9 @@ class TileScheduler:
     ) -> Optional[np.ndarray]:
         """Pop one buffered edge of a starting tile, releasing its memory.
 
-        The single-edge twin of :meth:`consume_edges`, used by the
-        wavefront-fused drivers which consume only their *cross-rank*
-        edges through the packed-edge store (interior edges travel as
-        array slices and are never packed).
+        The single-edge twin of :meth:`consume_edges`; the
+        wavefront-fused drivers take their packed edges a front at a
+        time through :meth:`take_front_edges`.
         """
         key = (producer, consumer)
         tracker = self.trackers[self.rank_of[consumer]]
@@ -709,6 +708,29 @@ class TileScheduler:
         if self.tracker is not tracker:
             self.tracker.remove_edge(key)
         return self._store.pop(key, None)
+
+    def take_front_edges(
+        self, rows: Sequence[int], include_local: bool = False
+    ) -> Dict[Tuple[int, int], Optional[np.ndarray]]:
+        """Pop the packed incoming edges of a started front.
+
+        Returns ``{(producer_row, row): buffer}`` — the ``packed=``
+        argument of :meth:`repro.runtime.fastpath.WavefrontRun.execute_batch`.
+        Edges that crossed a rank boundary always travel packed;
+        same-rank ones only when the run packs every edge
+        (*include_local*, i.e. ``keep_edges``).
+        """
+        ptr = self._prod_ptr
+        prod_rows = self._prod_rows
+        rank_of = self.rank_of
+        packed = {}
+        for row in rows:
+            rank = rank_of[row]
+            for e in range(ptr[row], ptr[row + 1]):
+                p = prod_rows[e]
+                if include_local or rank_of[p] != rank:
+                    packed[(p, row)] = self.take_edge(p, row)
+        return packed
 
     # -- running -> done -------------------------------------------------------
 

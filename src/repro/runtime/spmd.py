@@ -172,7 +172,7 @@ def run_spmd(
     if ranks < 1:
         raise RuntimeExecutionError(f"rank count must be >= 1, got {ranks}")
     ce = compiled_executor(program)
-    resolved = ce.resolve_mode(mode, kernel, keep_edges)
+    resolved = ce.resolve_mode(mode, kernel)
     params = dict(params)
     if graph is None:
         graph = tile_graph(program, params)
@@ -194,13 +194,10 @@ def run_spmd(
             record_values,
             record_events,
             schedule,
+            keep_edges,
         )
 
-    spaces = program.spaces
     layout = program.layout
-    local_vars = spaces.local_vars
-    deltas = program.deltas
-    pack_plans = program.pack_plans
 
     state = ce.make_run_state(params, kernel, resolved, record_values)
     sched = TileScheduler(
@@ -257,22 +254,18 @@ def run_spmd(
 
             # Unpack incoming edges into the ghost margins.
             for producer, delta_id, buffer in sched.consume_edges(row):
-                plan = pack_plans[deltas[delta_id]]
-                env = dict(params)
-                env.update(spaces.tile_env(tile_tuples[producer]))
-                plan.unpack(env, buffer, array, layout, local_vars)
+                state.unpack_edge(
+                    tile_tuples[producer], delta_id, buffer, array
+                )
 
             state.execute_tile(tile, array)
 
             # Pack outgoing edges: local edges deliver immediately,
             # cross-rank edges post to the destination's FIFO channel.
-            tile_env = dict(params)
-            tile_env.update(spaces.tile_env(tile))
             for consumer, delta_id, _, dest_rank in sched.outgoing(row):
-                plan = pack_plans[deltas[delta_id]]
-                buffer = plan.pack(tile_env, array, layout, local_vars)
+                buffer = state.pack_edge(tile, delta_id, array)
                 if kept_edges is not None:
-                    kept_edges[(tile, tile_tuples[consumer])] = buffer.copy()
+                    kept_edges[(tile, tile_tuples[consumer])] = buffer
                 sched.send_edge(row, consumer, buffer, len(buffer))
                 if dest_rank == rank:
                     sched.deliver_edge(consumer)
@@ -329,6 +322,7 @@ def _run_spmd_wavefront(
     record_values: bool,
     record_events: bool,
     schedule: str = "dynamic",
+    keep_edges: bool = False,
 ) -> ExecutionResult:
     """The wavefront-fused SPMD driver: each rank drains whole fronts.
 
@@ -338,18 +332,14 @@ def _run_spmd_wavefront(
     evaluates the batch in one fused operation.  Packed edges survive
     only at rank boundaries — exactly the edges the generated C sends
     over MPI: incoming cross-rank edges are consumed from the
-    scheduler's store (:meth:`~TileScheduler.take_edge`) and unpacked
+    scheduler's store (:meth:`~TileScheduler.take_front_edges`) and unpacked
     into the batch's ghost margins, outgoing cross-rank edges are packed
     from the batch and posted to the FIFO channels.  Same-rank edges
     travel as array slices of retained interiors and are never packed,
-    so edge-memory accounting here covers cross-rank traffic only.
+    so edge-memory accounting here covers cross-rank traffic only —
+    unless *keep_edges* is set, when same-rank edges take the packed
+    route too and every edge is retained and accounted.
     """
-    spaces = program.spaces
-    layout = program.layout
-    local_vars = spaces.local_vars
-    deltas = program.deltas
-    pack_plans = program.pack_plans
-
     state = ce.make_run_state(params, None, "wavefront", record_values)
     sched = TileScheduler(
         graph,
@@ -367,14 +357,15 @@ def _run_spmd_wavefront(
         params,
         rank_of=rank_of,
         values=state.values,
+        keep_edges=keep_edges,
     )
 
     tile_tuples = graph.tile_tuples
     T = len(tile_tuples)
+    kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
+        {} if keep_edges else None
+    )
     tile_order: List[TileIndex] = []
-    rank_list = rank_of.tolist()
-    pptr = graph.prod_ptr.tolist()
-    prows = graph.prod_rows.tolist()
 
     channels: Dict[Tuple[int, int], Deque[int]] = {
         (src, dst): deque()
@@ -404,33 +395,26 @@ def _run_spmd_wavefront(
                 continue
             progress = True
 
-            # Collect the batch's cross-rank incoming edges from the
-            # packed store; same-rank edges ghost-fill from retained
-            # interiors inside execute_batch.
-            packed: Dict[Tuple[int, int], np.ndarray] = {}
-            for row in rows:
-                for e in range(pptr[row], pptr[row + 1]):
-                    p = prows[e]
-                    if rank_list[p] != rank:
-                        packed[(p, row)] = sched.take_edge(p, row)
-
-            batch = run.execute_batch(rows, packed=packed)
+            # The batch's packed incoming edges (cross-rank; all of
+            # them under keep_edges) come out of the store; the rest
+            # ghost-fill from retained interiors inside execute_batch.
+            batch = run.execute_batch(
+                rows, packed=sched.take_front_edges(rows, keep_edges)
+            )
 
             for b, row in enumerate(rows):
                 tile = tile_tuples[row]
                 tile_order.append(tile)
                 state.note_objective(tile, batch[b])
-                tile_env = dict(params)
-                tile_env.update(spaces.tile_env(tile))
                 for consumer, delta_id, _, dest_rank in sched.outgoing(row):
+                    if keep_edges or dest_rank != rank:
+                        buffer = state.pack_edge(tile, delta_id, batch[b])
+                        if kept_edges is not None:
+                            kept_edges[(tile, tile_tuples[consumer])] = buffer
+                        sched.send_edge(row, consumer, buffer, len(buffer))
                     if dest_rank == rank:
                         sched.deliver_edge(consumer)
                     else:
-                        plan = pack_plans[deltas[delta_id]]
-                        buffer = plan.pack(
-                            tile_env, batch[b], layout, local_vars
-                        )
-                        sched.send_edge(row, consumer, buffer, len(buffer))
                         channels[(rank, dest_rank)].append(consumer)
                 sched.finish_tile(row)
         if not progress:
@@ -461,7 +445,7 @@ def _run_spmd_wavefront(
         tile_order=tile_order,
         memory=sched.memory_snapshot(),
         values=state.values,
-        edges=None,
+        edges=kept_edges,
         mode="wavefront",
         ranks=ranks,
         memory_per_rank=sched.memory_per_rank(),

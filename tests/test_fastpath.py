@@ -160,21 +160,25 @@ class TestDispatch:
     def test_auto_prefers_wavefront(self, bandit2_program):
         assert execute(bandit2_program, {"N": 4}).mode == "wavefront"
 
-    def test_auto_steps_down_to_vector_for_keep_edges(self, bandit2_program):
-        # Wavefront mode never packs interior edges, so a run that must
-        # retain them (solution recovery) resolves to the per-tile
-        # engine instead.
+    def test_auto_keeps_wavefront_for_keep_edges(self, bandit2_program):
+        # Retaining packed edges (solution recovery) no longer costs the
+        # fused front: under keep_edges every edge is array-packed from
+        # the batch, so auto stays on the wavefront engine.
         res = execute(bandit2_program, {"N": 4}, keep_edges=True)
-        assert res.mode == "vector"
+        assert res.mode == "wavefront"
         assert res.edges
 
-    def test_forced_wavefront_rejects_keep_edges(self, bandit2_program):
-        with pytest.raises(
-            RuntimeExecutionError, match="cannot retain packed edges"
-        ):
-            execute(
-                bandit2_program, {"N": 4}, mode="wavefront", keep_edges=True
-            )
+    def test_forced_wavefront_accepts_keep_edges(self, bandit2_program):
+        res = execute(
+            bandit2_program, {"N": 4}, mode="wavefront", keep_edges=True
+        )
+        assert res.mode == "wavefront"
+        ref = execute(
+            bandit2_program, {"N": 4}, mode="interpret", keep_edges=True
+        )
+        assert set(res.edges) == set(ref.edges)
+        for key, buf in ref.edges.items():
+            assert res.edges[key].tobytes() == buf.tobytes()
 
     def test_auto_falls_back_without_vector_kernel(self, bandit2_spec):
         spec = dataclasses.replace(bandit2_spec, vector_kernel=None)

@@ -164,6 +164,40 @@ class TestProcessParity:
         for key, buf in inline.edges.items():
             assert np.array_equal(proc.edges[key], buf)
 
+    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
+    @pytest.mark.parametrize("ranks", [1, 2])
+    @pytest.mark.parametrize("mode", ["auto", "wavefront"])
+    @pytest.mark.parametrize(
+        "fixture, params",
+        [
+            ("bandit2_program", {"N": 7}),
+            ("edit_program", {"LA": 14, "LB": 11}),
+        ],
+    )
+    def test_wavefront_keep_edges_equals_interpreter(
+        self, request, fixture, params, mode, ranks, schedule
+    ):
+        # keep_edges stays on the fused front in the workers too: every
+        # edge is array-packed there and comes back byte-identical to
+        # the interpreter's PackPlan scan, with full accounting.
+        program = request.getfixturevalue(fixture)
+        ref = execute(program, params, mode="interpret", keep_edges=True)
+        proc = execute(
+            program, params, mode=mode, ranks=ranks, schedule=schedule,
+            keep_edges=True, backend="process",
+        )
+        assert proc.mode == "wavefront"
+        assert proc.backend == "process"
+        assert proc.objective_value == ref.objective_value
+        assert sorted(proc.edges) == sorted(ref.edges)
+        for key, buf in ref.edges.items():
+            assert proc.edges[key].tobytes() == buf.tobytes()
+        assert len(proc.edges) == proc.memory["total_edges"]
+        assert (
+            sum(len(buf) for buf in proc.edges.values())
+            == proc.memory["total_packed_cells"]
+        )
+
     def test_event_trace_is_complete(self, bandit2_program):
         # No global interleaving exists across workers, so the trace is
         # compared as a multiset per tile, resequenced 0..n-1.

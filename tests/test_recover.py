@@ -1,13 +1,21 @@
 """Solution recovery (Section VII-A): saved edges + tile recomputation."""
 
+import ast
+import re
+
+import numpy as np
 import pytest
 
 from repro.errors import RuntimeExecutionError
+from repro.generator import generate
+from repro.generator.packing import PackPlan
 from repro.problems import (
     edit_distance_reference,
+    random_hmm,
     two_arm_reference,
+    viterbi_spec,
 )
-from repro.runtime import SolutionRecovery, execute
+from repro.runtime import SolutionRecovery, execute, solve_reference
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +144,161 @@ class TestTraceback:
         for tile in list(rec.graph.tiles)[:5]:
             rec.tile_values(tile)
         assert len(rec._cache) <= 2
+
+
+@pytest.fixture(scope="module")
+def viterbi_program():
+    prior, trans, emit, obs = random_hmm(3, 4, 14, seed=21)
+    return generate(viterbi_spec(prior, trans, emit, obs, tile_width_t=4))
+
+
+def _scalar_twin(program):
+    """A kernel that is not the spec's own object: forces the
+    interpreted forward pass and interpreted recomputation."""
+    kernel = program.spec.kernel
+    return lambda point, deps, params: kernel(point, deps, params)
+
+
+class TestRecomputation:
+    """Tiles are recomputed by the executor's own tile body."""
+
+    @pytest.mark.parametrize(
+        "fixture, params, mode",
+        [
+            ("edit_program", {"LA": 14, "LB": 11}, "wavefront"),
+            ("bandit2_program", {"N": 7}, "wavefront"),
+            ("lcs3_program", {"L1": 8, "L2": 9, "L3": 10}, "wavefront"),
+            # No vector kernel: the interpreted fallback.
+            ("viterbi_program", {"T": 13}, "interpret"),
+        ],
+    )
+    def test_full_value_plane_matches_reference(
+        self, request, fixture, params, mode
+    ):
+        program = request.getfixturevalue(fixture)
+        rec = SolutionRecovery(program, params)
+        assert rec.result.mode == mode
+        plane = {}
+        for tile in rec.graph.tile_tuples:
+            plane.update(rec.tile_values(tile))
+        ref = solve_reference(program, params, record_values=True)
+        assert plane == ref.values
+        assert rec.recomputed_tiles == len(rec.graph.tile_tuples)
+
+    def test_custom_kernel_recomputes_interpreted(self, bandit2_program):
+        rec = SolutionRecovery(
+            bandit2_program, {"N": 7}, kernel=_scalar_twin(bandit2_program)
+        )
+        assert rec.result.mode == "interpret"
+        origin = {"s1": 0, "f1": 0, "s2": 0, "f2": 0}
+        assert rec.value_at(origin) == pytest.approx(
+            two_arm_reference(7), abs=1e-12
+        )
+
+    def test_dependencies_read_from_ghost_margins(self, bandit_recovery):
+        # Every dependency of every point, answered from the point's own
+        # tile, equals the value the neighbouring tile recomputes.
+        spec = bandit_recovery.program.spec
+        full = execute(
+            bandit_recovery.program, {"N": 7}, record_values=True
+        ).values
+        for key in full:
+            point = dict(zip(spec.loop_vars, key))
+            deps = bandit_recovery.dependencies_at(point)
+            for name, vec in spec.templates.items():
+                target = tuple(x + r for x, r in zip(key, vec))
+                assert deps[name] == full.get(target)
+
+    def test_array_path_never_scans_a_packplan(
+        self, bandit2_program, monkeypatch
+    ):
+        def scan(*args, **kwargs):
+            raise AssertionError("array recovery walked a PackPlan scan")
+
+        monkeypatch.setattr(PackPlan, "pack", scan)
+        monkeypatch.setattr(PackPlan, "unpack", scan)
+        rec = SolutionRecovery(bandit2_program, {"N": 7})
+        assert rec.result.mode == "wavefront"
+        path = rec.traceback(
+            lambda point, deps, value: next(
+                (n for n, v in deps.items() if v is not None), None
+            )
+        )
+        assert path[-1][1] is None
+        assert rec.value_at(path[0][0]) == pytest.approx(
+            two_arm_reference(7), abs=1e-12
+        )
+
+    def test_traceback_recomputes_only_the_tiles_it_enters(
+        self, edit_program, edit_strings
+    ):
+        a, b = edit_strings
+        rec = SolutionRecovery(
+            edit_program, {"LA": len(a), "LB": len(b)}, cache_tiles=64
+        )
+        assert (rec.recomputed_tiles, rec.cache_hits) == (0, 0)
+        # Always step diagonally while possible, then along an axis:
+        # every step peeks at all three neighbours.
+        path = rec.traceback(
+            lambda point, deps, value: next(
+                (n for n in ("diag", "up", "left") if deps[n] is not None),
+                None,
+            ),
+            start={"i": len(a), "j": len(b)},
+        )
+        entered = {
+            edit_program.spaces.point_to_tile(point) for point, _ in path
+        }
+        assert rec.recomputed_tiles == len(entered)
+        assert rec.cache_hits == len(path) - len(entered)
+
+
+class TestDamagedEdges:
+    """A missing or corrupt saved edge is an error, never a silent NaN."""
+
+    @pytest.fixture(params=["array", "interpret"])
+    def recovery(self, request, bandit2_program):
+        kernel = (
+            None if request.param == "array"
+            else _scalar_twin(bandit2_program)
+        )
+        rec = SolutionRecovery(bandit2_program, {"N": 7}, kernel=kernel)
+        assert rec.result.mode == (
+            "wavefront" if request.param == "array" else "interpret"
+        )
+        return rec
+
+    def test_poisoned_edge_names_tile_template_point(self, recovery):
+        (producer, consumer), buf = next(iter(recovery.result.edges.items()))
+        recovery.result.edges[(producer, consumer)] = np.full_like(buf, np.nan)
+        with pytest.raises(RuntimeExecutionError) as err:
+            recovery.tile_values(consumer)
+        found = re.fullmatch(
+            r"tile (\(.*\)): dependency (\w+) of point (\{.*\}) is valid "
+            r"but its value was never computed or delivered",
+            str(err.value),
+        )
+        assert found, str(err.value)
+        spec = recovery.program.spec
+        assert ast.literal_eval(found.group(1)) == consumer
+        vec = dict(spec.templates.items())[found.group(2)]
+        point = ast.literal_eval(found.group(3))
+        widths = spec.tile_width_vector()
+        assert tuple(
+            (point[x] + r) // w
+            for x, r, w in zip(spec.loop_vars, vec, widths)
+        ) == producer
+        # The failure is not cached as a result.
+        with pytest.raises(RuntimeExecutionError):
+            recovery.value_at(point)
+
+    def test_deleted_edge_names_both_tiles(self, recovery):
+        producer, consumer = next(iter(recovery.result.edges))
+        del recovery.result.edges[(producer, consumer)]
+        with pytest.raises(RuntimeExecutionError) as err:
+            recovery.tile_values(consumer)
+        assert str(consumer) in str(err.value)
+        assert str(producer) in str(err.value)
 
 
 class TestViterbiPathRecovery:

@@ -6,7 +6,9 @@ untiled ``solve_reference`` oracle on every bundled problem, at every
 tile width, across every rank count.  This suite pins exactly that, plus
 the dispatch/degradation contract (``mode="auto"`` never raises), the
 masked lane-gather path's own contract (no per-tile fallback, masks
-equal to the per-tile engine's, sub-batching invisible), the
+equal to the per-tile engine's, sub-batching invisible), the array
+pack/unpack contract (byte-for-byte the ``PackPlan`` scans; wavefront
+runs retain interpreter-identical edges under ``keep_edges``), the
 deadlock-free guarantee of batch draining under pathological rank
 partitions, and the static wavefront level invariants the batch
 scheduler relies on.
@@ -14,6 +16,7 @@ scheduler relies on.
 
 import ast
 import dataclasses
+import hashlib
 import re
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RuntimeExecutionError
+from repro.errors import GenerationError, RuntimeExecutionError
 from repro.generator import generate
 from repro.generator.validity import ValiditySet
 from repro.polyhedra import Constraint
@@ -394,6 +397,138 @@ class TestMaskedLaneGather:
         assert split.cells_computed == default.cells_computed
         assert split.values == default.values
         assert split.objective_value == default.objective_value
+
+
+class TestArrayPackUnpack:
+    """Array-sliced edges are the ``PackPlan`` scans, byte for byte."""
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_pack_and_unpack_equal_packplan(self, case, data):
+        program, params = case
+        graph = tile_graph(program, params)
+        engine = compiled_executor(program).vector_engine
+        layout = program.layout
+        local_vars = program.spaces.local_vars
+        tile = data.draw(st.sampled_from(graph.tile_tuples))
+        delta = data.draw(st.sampled_from(program.deltas))
+        plan = program.pack_plans[delta]
+        env = dict(params)
+        env.update(program.spaces.tile_env(tile))
+        # Every padded cell distinct, so a misplaced cell cannot hide.
+        array = (
+            np.arange(layout.cells, dtype=np.float64) + 0.5
+        ).reshape(layout.padded_shape)
+
+        want = plan.pack(env, array, layout, local_vars)
+        got = engine.pack_edge(tile, delta, array, params)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+        # Unpack writes PackPlan.unpack's cells and nothing else.
+        scan = np.full(layout.padded_shape, np.nan)
+        sliced = np.full(layout.padded_shape, np.nan)
+        plan.unpack(env, want, scan, layout, local_vars)
+        engine.unpack_edge(tile, delta, got, sliced, params)
+        assert sliced.tobytes() == scan.tobytes()
+
+        with pytest.raises(GenerationError, match="iteration spaces diverged"):
+            engine.unpack_edge(
+                tile, delta, np.append(got, 1.0), sliced, params
+            )
+
+    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
+    @pytest.mark.parametrize("ranks", [1, 2])
+    @pytest.mark.parametrize("mode", ["auto", "wavefront"])
+    def test_keep_edges_stays_on_the_fused_front(
+        self, case, mode, ranks, schedule
+    ):
+        program, params = case
+        ref = execute(program, params, mode="interpret", keep_edges=True)
+        wave = execute(
+            program, params, mode=mode, ranks=ranks, schedule=schedule,
+            keep_edges=True,
+        )
+        assert wave.mode == "wavefront"
+        assert wave.objective_value == ref.objective_value
+        assert list(sorted(wave.edges)) == list(sorted(ref.edges))
+        for key, buf in ref.edges.items():
+            assert wave.edges[key].tobytes() == buf.tobytes()
+        assert len(wave.edges) == wave.memory["total_edges"]
+        assert (
+            sum(len(buf) for buf in wave.edges.values())
+            == wave.memory["total_packed_cells"]
+        )
+
+    def test_keep_edges_never_scans_a_packplan(self, case, monkeypatch):
+        from repro.generator.packing import PackPlan
+
+        def scan(*args, **kwargs):
+            raise AssertionError("array engine walked a PackPlan scan")
+
+        program, params = case
+        ref = execute(program, params, mode="interpret", keep_edges=True)
+        monkeypatch.setattr(PackPlan, "pack", scan)
+        monkeypatch.setattr(PackPlan, "unpack", scan)
+        for kwargs in ({"mode": "wavefront"}, {"mode": "vector"},
+                       {"mode": "wavefront", "ranks": 2}):
+            res = execute(program, params, keep_edges=True, **kwargs)
+            assert res.objective_value == ref.objective_value
+            assert all(
+                res.edges[key].tobytes() == buf.tobytes()
+                for key, buf in ref.edges.items()
+            )
+
+    def test_edge_for_another_front_is_rejected(self, bandit2_program):
+        params = {"N": 7}
+        graph = tile_graph(bandit2_program, params)
+        engine = compiled_executor(bandit2_program).wavefront_engine
+        run = WavefrontRun(engine, graph, params, keep_edges=True)
+        sched = TileScheduler(graph, batch=True)
+        sched.seed()
+        rows = sched.start_batch(0)
+        # An edge whose consumer is not in the front being evaluated.
+        stray = next(
+            row for row in range(len(graph.tile_tuples))
+            if graph.producer_edges(row) and row not in rows
+        )
+        producer = graph.producer_edges(stray)[0][0]
+        tiles = graph.tile_tuples
+        with pytest.raises(RuntimeExecutionError) as err:
+            run.execute_batch(rows, packed={(producer, stray): np.zeros(1)})
+        assert str(tiles[producer]) in str(err.value)
+        assert str(tiles[stray]) in str(err.value)
+
+    #: sha256 prefixes of ``encode_events`` recorded before wavefront
+    #: mode learned to keep edges: runs that do not keep them must not
+    #: have moved by a byte.
+    PINNED_TRACES = {
+        ("bandit2-w3", 1, "dynamic"): "4856b64f1297e1cf",
+        ("bandit2-w3", 1, "static"): "e507f9359bb75e74",
+        ("bandit2-w3", 2, "dynamic"): "d51b8363c4e5cf09",
+        ("bandit2-w3", 2, "static"): "b53df89f2189da45",
+        ("lcs2-w5", 1, "dynamic"): "e7567ce9daa999aa",
+        ("lcs2-w5", 1, "static"): "629f617b261b963d",
+        ("lcs2-w5", 2, "dynamic"): "a8bb2635f79daf83",
+        ("lcs2-w5", 2, "static"): "fe3d7b6c0ea0a76a",
+    }
+
+    @pytest.mark.parametrize(
+        "name, ranks, schedule", sorted(PINNED_TRACES)
+    )
+    def test_traces_without_keep_edges_unchanged(self, name, ranks, schedule):
+        _, spec, params = MATRIX[MATRIX_IDS.index(name)]
+        res = execute(
+            generate(spec), params, mode="wavefront", ranks=ranks,
+            schedule=schedule, record_events=True,
+        )
+        digest = hashlib.sha256(encode_events(res.events)).hexdigest()
+        assert digest[:16] == self.PINNED_TRACES[(name, ranks, schedule)]
+        assert res.edges is None
 
 
 class TestBatchDrainLiveness:
