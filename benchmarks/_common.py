@@ -8,10 +8,7 @@ re-running ``pytest benchmarks/ --benchmark-only``.
 
 from __future__ import annotations
 
-import datetime
 import functools
-import json
-import os
 from pathlib import Path
 
 from repro.generator import generate
@@ -27,38 +24,12 @@ from repro.runtime import TileGraph
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 
-#: Schema of the committed ``BENCH_*.json`` snapshots (see
-#: :func:`write_bench_json`); bump when the envelope changes shape.
-BENCH_SCHEMA_VERSION = 1
-
 
 def write_report(name: str, text: str) -> None:
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)
-
-
-def write_bench_json(path: Path, rows: list, **extra) -> None:
-    """Write a ``BENCH_*.json`` snapshot in the shared envelope.
-
-    Every committed benchmark snapshot carries the same four top-level
-    keys — ``schema_version``, ``cpu_count`` (the host that produced
-    it), ``timestamp`` (UTC, ISO-8601) and ``rows`` — so trajectory
-    tooling can diff any pair of files without per-benchmark parsing.
-    Benchmark-specific scalars (e.g. a cached-lookup timing) ride along
-    as *extra* keys after the common ones.
-    """
-    payload = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "cpu_count": os.cpu_count(),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc)
-        .replace(microsecond=0)
-        .isoformat(),
-        "rows": rows,
-    }
-    payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,6 +15,26 @@ boundary conditions require (e.g. edit distance D(i,0) = i emerges from
 "only the vertical dependency is valid").
 
 All specs carry an independent brute-force reference solver.
+
+Vector kernels.  Each spec's ``vector_kernel`` is the lane-wise twin of
+its scalar ``kernel`` and must equal it bit for bit.  Characters are
+compared as integers: :func:`_seq_codes` gives every sequence one code
+array indexed by the coordinate itself, whose slot 0 is a sentinel that
+matches nothing.  Each ``if dep is valid and cand < best: best = cand``
+of a scalar cascade is one masked ufunc over all lanes,
+``np.minimum(best, cand, out=best, where=valid)`` (``np.maximum`` for
+the max kernels), starting from what the cascade holds before any
+dependency is valid (``+inf`` standing for ``None``, or the ``0.0``
+start).  That is exact, not approximate: a strict comparison and a
+min/max both leave the extreme *value* of ``best`` and ``cand`` in
+``best``, every candidate is computed by the same single IEEE operation
+as in the scalar kernel, ``where=`` keeps the NaN (or anything else) of
+an invalid lane from being read at all, and the one pair of distinct
+floats that compare equal, ``-0.0``/``+0.0``, cannot meet — a candidate
+is a dep, ``dep + c`` or ``dep - c``, which IEEE rounds to ``-0.0`` only
+from a ``-0.0`` dep, and no kernel returns one.
+tests/test_alignment_variants.py pins lane == scalar on random
+strings, lanes and garbage-filled invalid lanes.
 """
 
 from __future__ import annotations
@@ -42,13 +62,18 @@ def _strings_global_c(strings: Sequence[str]) -> str:
     )
 
 
-def _seq_array(s: str) -> np.ndarray:
-    """Sequence as a numpy char array for the vector kernels.
+def _seq_codes(s: str, k: int) -> np.ndarray:
+    """Sequence *k* of a problem as the vector kernels' integer code array.
 
-    Empty sequences get a single NUL placeholder so that index-clamping
-    (``max(i-1, 0)``) in masked-out lanes stays in bounds.
+    Indexed by the coordinate itself: slot ``x >= 1`` holds the code
+    point of ``s[x - 1]``, the character the scalar kernels read at
+    coordinate ``x``.  Slot 0 holds ``-1 - k``: no code point is
+    negative and no two sequences share it, so a comparison involving
+    coordinate 0 of either side is False — the scalar kernels' explicit
+    ``coordinate >= 1`` tests come out of the equality itself, with no
+    index clamp and for the empty string too.
     """
-    return np.array(list(s) or ["\0"], dtype="<U1")
+    return np.array([-1 - k] + [ord(c) for c in s], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -82,21 +107,16 @@ def edit_distance_spec(
             best = cand if best is None or cand < best else best
         return 0.0 if best is None else best
 
-    A, B = _seq_array(a), _seq_array(b)
+    A, B = _seq_codes(a, 0), _seq_codes(b, 1)
 
     def vector_kernel(point, deps, valid, params):
-        # Array twin of `kernel`: min-cascade with an inf sentinel for
-        # "no valid dependency", same candidate order, masked lanes
-        # (NaN deps) never win a `<` comparison.
-        i, j = point["i"], point["j"]
-        best = np.where(valid["up"], deps["up"] + 1.0, np.inf)
-        cand = deps["left"] + 1.0
-        best = np.where(valid["left"] & (cand < best), cand, best)
-        cost = np.where(
-            A[np.maximum(i - 1, 0)] == B[np.maximum(j - 1, 0)], 0.0, 1.0
-        )
-        cand = deps["diag"] + cost
-        best = np.where(valid["diag"] & (cand < best), cand, best)
+        # Array twin of `kernel`, one masked ufunc per `if` of its
+        # cascade; +inf stands for "no valid dependency yet".
+        cost = np.where(A.take(point["i"]) == B.take(point["j"]), 0.0, 1.0)
+        best = np.full(cost.shape, np.inf)
+        np.add(deps["up"], 1.0, out=best, where=valid["up"])
+        np.minimum(best, deps["left"] + 1.0, out=best, where=valid["left"])
+        np.minimum(best, deps["diag"] + cost, out=best, where=valid["diag"])
         return np.where(np.isinf(best), 0.0, best)
 
     return ProblemSpec.create(
@@ -192,24 +212,27 @@ def lcs_spec(strings: Sequence[str], tile_width: int = 8, lb_dims=None) -> Probl
                 best = v
         return best
 
-    arrs = [_seq_array(s) for s in strings]
+    codes = [_seq_codes(s, k) for k, s in enumerate(strings)]
     drop_names = ["drop_" + loop_vars[k][1:] for k in range(d)]
 
     def vector_kernel(point, deps, valid, params_env):
-        coords = [point[v] for v in loop_vars]
-        chars = [arrs[k][np.maximum(coords[k] - 1, 0)] for k in range(d)]
-        match = coords[0] >= 1
-        for c in coords[1:]:
-            match = match & (c >= 1)
-        for ch in chars[1:]:
+        # Coordinate 0 reads a sentinel no other sequence holds, so the
+        # code equality alone is the scalar kernel's "all coords >= 1
+        # and all characters equal".
+        chars = [codes[k].take(point[v]) for k, v in enumerate(loop_vars)]
+        match = chars[0] == chars[1]
+        for ch in chars[2:]:
             match = match & (chars[0] == ch)
-        best = np.zeros(coords[0].shape, dtype=np.float64)
+        # The scalar cascade, one masked ufunc per `if`: start at 0.0,
+        # take a larger drop where that drop is valid, and where the
+        # characters match take diagonal + 1 instead.  `match` implies
+        # the diagonal dependency is valid (all coords >= 1 and within
+        # the box), so its lanes hold real values.
+        best = np.zeros(chars[0].shape)
         for name in drop_names:
-            v = deps[name]
-            best = np.where(valid[name] & (v > best), v, best)
-        # `match` implies the diagonal dependency is valid (all coords
-        # >= 1 and within the box), so its lanes hold real values.
-        return np.where(match, deps[diag_name] + 1.0, best)
+            np.maximum(best, deps[name], out=best, where=valid[name])
+        np.add(deps[diag_name], 1.0, out=best, where=match)
+        return best
 
     # Python center-loop fragment for the pygen backend.
     eq_chain = " == ".join(
@@ -366,14 +389,11 @@ def msa_spec(
                 best = cand
         return 0.0 if best is None else best
 
-    arrs = [_seq_array(s) for s in strings]
+    codes = [_seq_codes(s, k) for k, s in enumerate(strings)]
 
     def vector_kernel(point, deps, valid, params_env):
-        chars = [
-            arrs[k][np.maximum(point[loop_vars[k]] - 1, 0)] for k in range(d)
-        ]
-        shape = point[loop_vars[0]].shape
-        best = np.full(shape, np.inf)
+        chars = [codes[k].take(point[v]) for k, v in enumerate(loop_vars)]
+        best = np.full(chars[0].shape, np.inf)
         for move in moves:
             name = move_name(move)
             # Accumulate the column cost pair by pair in the scalar
@@ -387,8 +407,7 @@ def msa_spec(
                         )
                     elif move[a_i] != 0 or move[b_i] != 0:
                         cost = cost + gap
-            cand = deps[name] + cost
-            best = np.where(valid[name] & (cand < best), cand, best)
+            np.minimum(best, deps[name] + cost, out=best, where=valid[name])
         return np.where(np.isinf(best), 0.0, best)
 
     # Python center-loop fragment for the pygen backend: one guarded
@@ -530,27 +549,22 @@ def damerau_spec(a: str, b: str, tile_width: int = 8, lb_dims=None) -> ProblemSp
             best = cand if best is None or cand < best else best
         return 0.0 if best is None else best
 
-    A, B = _seq_array(a), _seq_array(b)
+    A, B = _seq_codes(a, 0), _seq_codes(b, 1)
 
     def vector_kernel(point, deps, valid, params):
         i, j = point["i"], point["j"]
-        best = np.where(valid["up"], deps["up"] + 1.0, np.inf)
-        cand = deps["left"] + 1.0
-        best = np.where(valid["left"] & (cand < best), cand, best)
-        cost = np.where(
-            A[np.maximum(i - 1, 0)] == B[np.maximum(j - 1, 0)], 0.0, 1.0
-        )
-        cand = deps["diag"] + cost
-        best = np.where(valid["diag"] & (cand < best), cand, best)
-        swap_ok = (
-            valid["swap"]
-            & (i >= 2)
-            & (j >= 2)
-            & (A[np.maximum(i - 1, 0)] == B[np.maximum(j - 2, 0)])
-            & (A[np.maximum(i - 2, 0)] == B[np.maximum(j - 1, 0)])
-        )
-        cand = deps["swap"] + 1.0
-        best = np.where(swap_ok & (cand < best), cand, best)
+        ai, bj = A.take(i), B.take(j)
+        cost = np.where(ai == bj, 0.0, 1.0)
+        # a[i-1] == b[j-2] and a[i-2] == b[j-1]; whenever i < 2 or
+        # j < 2 one side of one equality is a slot-0 sentinel (index -1
+        # wraps in bounds and is then never decisive), so the scalar
+        # kernel's `i >= 2 and j >= 2` needs no test of its own.
+        swap_ok = valid["swap"] & (ai == B.take(j - 1)) & (A.take(i - 1) == bj)
+        best = np.full(cost.shape, np.inf)
+        np.add(deps["up"], 1.0, out=best, where=valid["up"])
+        np.minimum(best, deps["left"] + 1.0, out=best, where=valid["left"])
+        np.minimum(best, deps["diag"] + cost, out=best, where=valid["diag"])
+        np.minimum(best, deps["swap"] + 1.0, out=best, where=swap_ok)
         return np.where(np.isinf(best), 0.0, best)
 
     return ProblemSpec.create(
@@ -654,21 +668,16 @@ def smith_waterman_spec(
             best = max(best, deps["left"] - gap)
         return best
 
-    A, B = _seq_array(a), _seq_array(b)
+    A, B = _seq_codes(a, 0), _seq_codes(b, 1)
 
     def vector_kernel(point, deps, valid, params):
-        i, j = point["i"], point["j"]
-        best = np.zeros(i.shape, dtype=np.float64)
         s = np.where(
-            A[np.maximum(i - 1, 0)] == B[np.maximum(j - 1, 0)],
-            match, mismatch,
+            A.take(point["i"]) == B.take(point["j"]), match, mismatch
         )
-        cand = deps["diag"] + s
-        best = np.where(valid["diag"] & (cand > best), cand, best)
-        cand = deps["up"] - gap
-        best = np.where(valid["up"] & (cand > best), cand, best)
-        cand = deps["left"] - gap
-        best = np.where(valid["left"] & (cand > best), cand, best)
+        best = np.zeros(s.shape)
+        np.maximum(best, deps["diag"] + s, out=best, where=valid["diag"])
+        np.maximum(best, deps["up"] - gap, out=best, where=valid["up"])
+        np.maximum(best, deps["left"] - gap, out=best, where=valid["left"])
         return best
 
     return ProblemSpec.create(

@@ -121,16 +121,14 @@ class ExecutionResult:
         return [m["peak_cells"] for m in self.memory_per_rank]
 
 
-def _compile_checks(program: GeneratedProgram):
-    """Turn validity constraints into fast integer closures.
+def _compile_constraints(constraints):
+    """Turn linear constraints into fast integer closures.
 
-    Returns ``(check_fns, per_template)`` where each check function maps a
-    global environment (loop vars + params) to bool.  Prefer
-    :attr:`CompiledExecutor.validity_checks` (cached per program via
-    :func:`compiled_executor`) over calling this directly.
+    One function per constraint, each mapping a global environment
+    (loop vars + params) to bool.
     """
-    check_fns = []
-    for c in program.validity.checks:
+    fns = []
+    for c in constraints:
         # Integral coefficients stay plain ints (the fast common case);
         # rational coefficients keep their exact Fraction so the
         # interpreter still evaluates the check correctly — the vector
@@ -150,11 +148,8 @@ def _compile_checks(program: GeneratedProgram):
                 total += coef * env[name]
             return total == 0 if is_eq else total >= 0
 
-        check_fns.append(fn)
-    per_template = {
-        name: tuple(ids) for name, ids in program.validity.per_template.items()
-    }
-    return check_fns, per_template
+        fns.append(fn)
+    return fns
 
 
 class _RunState:
@@ -347,7 +342,12 @@ class CompiledExecutor:
         # Loop-invariant across tiles AND runs: compiled once here, never
         # inside the tile loop (it used to be recompiled per tile).
         self.scan = compile_scanner(spaces.local_nest, self.local_directions)
-        self.check_fns, self.per_template = _compile_checks(program)
+        self.check_fns = _compile_constraints(program.validity.checks)
+        self.per_template = {
+            name: tuple(ids)
+            for name, ids in program.validity.per_template.items()
+        }
+        self.space_fns = _compile_constraints(self.spec.constraints)
         self.template_items = list(self.spec.templates.items())
         self._vector_engine: Optional[VectorTileEngine] = None
         self._vector_reason: Optional[str] = None
@@ -369,6 +369,13 @@ class CompiledExecutor:
         them.
         """
         return self.check_fns, self.per_template
+
+    def in_space(self, env: Mapping[str, int]) -> bool:
+        """Whether *env* (params + loop vars) is an iteration-space
+        point: ``spec.constraints.satisfied(env)`` through closures
+        compiled like the validity checks, without its ``Fraction``
+        arithmetic."""
+        return all(fn(env) for fn in self.space_fns)
 
     # -- engine selection -----------------------------------------------------
 

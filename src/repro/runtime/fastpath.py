@@ -452,7 +452,9 @@ class WavefrontEngine:
       are lanes of the same calls as full ones; out-of-space interior
       cells are never written and stay NaN.  A front is evaluated in
       sub-batches of at most :data:`CELL_BUDGET` box cells, which bounds
-      the masks and index arrays however wide the front is.
+      the masks and index arrays however wide the front is; the lanes
+      of a sub-batch are listed once (:meth:`WavefrontRun._lanes`) and
+      each level slices that list.
 
     Bit-identity with the per-tile path holds because vector kernels are
     lane-wise: gathering cells of many tiles into one lane array feeds
@@ -484,7 +486,9 @@ class WavefrontEngine:
         self.padded_shape = tuple(eng.layout.padded_shape)
         self.interior_slices = eng.interior_slices
         self.deltas = list(program.deltas)
-        self.fill_slices = eng.fill_slices
+        # The tile engine's ghost-fill slice pairs by delta id, as the
+        # graph's CSR names them.
+        self._fills = [eng.fill_slices[delta] for delta in self.deltas]
 
         # Batched interval analysis: stack every space constraint and
         # validity check into one (d, P) tile-coefficient matrix so a
@@ -557,9 +561,11 @@ class WavefrontRun:
     engine's ``execute_tile`` is never called from here.
 
     *arena* is an optional externally-owned ``(cap, *padded_shape)``
-    float64 buffer backing the batch ghost arrays: when given (and the
-    front fits), :meth:`execute_batch` evaluates the front in place in
-    ``arena[:B]`` instead of allocating a fresh array per front.  The
+    float64 buffer backing the batch ghost arrays: when given,
+    :meth:`execute_batch` evaluates the front in place in ``arena[:B]``
+    instead of allocating a fresh array per front, and a front wider
+    than ``cap`` raises (drivers size the arena from the static front
+    widths, so that is a sizing bug, not a case to serve slowly).  The
     process-parallel SPMD backend (:mod:`repro.runtime.parallel`) hands
     each rank a view into a ``multiprocessing.shared_memory`` segment
     here, and the single-rank driver reuses one heap allocation across
@@ -685,30 +691,36 @@ class WavefrontRun:
         graph = self.graph
         B = len(rows)
         arena = self._arena
-        if arena is not None and B <= arena.shape[0]:
-            batch = arena[:B]
-            batch.fill(np.nan)
-        else:
+        if arena is None:
             batch = np.full(
                 (B,) + eng.padded_shape, np.nan, dtype=np.float64
             )
-        pptr = graph.prod_ptr
+        elif B > arena.shape[0]:
+            raise RuntimeExecutionError(
+                f"front of {B} tiles exceeds the wavefront arena's "
+                f"capacity of {arena.shape[0]}"
+            )
+        else:
+            batch = arena[:B]
+            batch.fill(np.nan)
+        # The front's slice of the producer CSR, as Python ints, once.
+        rows_arr = np.asarray(rows, dtype=np.int64)
+        starts = graph.prod_ptr[rows_arr].tolist()
+        ends = graph.prod_ptr[rows_arr + 1].tolist()
         prows = graph.prod_rows
         pdelta = graph.prod_delta
         deltas = eng.deltas
+        fills = eng._fills
         store = self._store
         refs = self._refs
         unpack_edge = eng.tile_engine.unpack_edge
         tt = graph.tile_tuples
-        for b, row in enumerate(rows):
+        for b, (row, lo, hi) in enumerate(zip(rows, starts, ends)):
             arr = batch[b]
-            for e in range(int(pptr[row]), int(pptr[row + 1])):
-                p = int(prows[e])
+            for p, k in zip(prows[lo:hi].tolist(), pdelta[lo:hi].tolist()):
                 buf = packed.pop((p, row), None) if packed else None
                 if buf is not None:
-                    unpack_edge(
-                        tt[p], deltas[int(pdelta[e])], buf, arr, self.params
-                    )
+                    unpack_edge(tt[p], deltas[k], buf, arr, self.params)
                     continue
                 interior = store.get(p)
                 if interior is None:
@@ -716,7 +728,7 @@ class WavefrontRun:
                         f"tile {tt[row]} started before the interior of "
                         f"its producer {tt[p]} was retained"
                     )
-                src, dst = eng.fill_slices[deltas[int(pdelta[e])]]
+                src, dst = fills[k]
                 arr[dst] = interior[src]
                 refs[p] -= 1
                 if refs[p] == 0:
@@ -729,20 +741,36 @@ class WavefrontRun:
                 "handed to a front that does not consume it"
             )
 
-        tiles_arr = graph.tile_array[list(rows)]
+        tiles_arr = graph.tile_array[rows_arr]
         flat = batch.reshape(-1)
         step = max(1, CELL_BUDGET // eng._cell_offset.size)
         for b0 in range(0, B, step):
             self._evaluate(flat, b0, tiles_arr[b0:b0 + step])
 
-        nlocal = self._nlocal
         interior_slices = eng.interior_slices
-        for b, row in enumerate(rows):
-            n = int(nlocal[row])
+        for b, n in enumerate(self._nlocal[rows_arr].tolist()):
             if n:
-                store[row] = batch[b][interior_slices].copy()
-                refs[row] = n
+                store[rows[b]] = batch[b][interior_slices].copy()
+                refs[rows[b]] = n
         return batch
+
+    def _lanes(self, space: np.ndarray):
+        """Every in-space lane of a sub-batch, listed once.
+
+        *space* is the ``(B, C)`` in-space plane of :meth:`_masks`.
+        Returns ``(ci, bi, cuts)``: lane ``k`` is level-ordered box cell
+        ``ci[k]`` of tile ``bi[k]``, lanes ascending by cell and then
+        tile.  Box cells are level-ordered, so the lanes of intra-tile
+        level ``l`` are the slice ``cuts[l]:cuts[l + 1]`` of both arrays
+        — the lanes ``np.nonzero(space[:, lo:hi])`` finds for that
+        level's cell range, without a strided scan per level.
+        """
+        B = space.shape[0]
+        bi = np.flatnonzero(space.T)  # cell * B + tile, ascending
+        ci = bi // B
+        bi -= ci * B
+        cuts = np.searchsorted(ci, self.engine._level_ends)
+        return ci, bi, [0] + cuts.tolist()
 
     def _evaluate(self, flat: np.ndarray, b0: int, tiles_arr: np.ndarray):
         """Masked lane-gather evaluation of batch rows ``b0:b0+len(tiles_arr)``.
@@ -751,7 +779,9 @@ class WavefrontRun:
         level, the in-space cells of every tile become the lanes of one
         kernel call — the 1-D lane arrays the per-tile engine feeds it,
         just more lanes per call — and the result is scattered back in
-        place.
+        place.  The lane list and its index into the validity planes
+        are built once for the sub-batch (:meth:`_lanes`); a level only
+        slices them.
         """
         eng = self.engine
         tile_engine = eng.tile_engine
@@ -764,21 +794,20 @@ class WavefrontRun:
             (tiles_arr * np.asarray(eng.widths, dtype=np.int64)).T
         )
         vflat = validity.reshape(len(names), -1)
-        lo = 0
-        for hi in eng._level_ends:
-            # Lanes of this level: tile bi, level-ordered box cell ci.
-            bi, ci = np.nonzero(space[:, lo:hi])
-            ci += lo
-            lo = hi
-            if not ci.size:
+        lane_cell, lane_tile, cuts = self._lanes(space)
+        self.cells += lane_cell.size
+        lane_valid = lane_tile * space.shape[1]  # a lane's index into vflat
+        lane_valid += lane_cell
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo == hi:
                 continue
-            self.cells += ci.size
+            ci = lane_cell[lo:hi]
+            bi = lane_tile[lo:hi]
             here = eng._cell_offset.take(ci) + plane0.take(bi)
             coords = eng._cell_coords.take(ci, axis=1)
             coords += base.take(bi, axis=1)
             vals = flat.take(here + eng._shifts)
-            ci += bi * space.shape[1]  # now the lane's index into vflat
-            vmask = vflat.take(ci, axis=1)
+            vmask = vflat.take(lane_valid[lo:hi], axis=1)
             bad = np.isnan(vals) & vmask
             if bad.any():
                 t, j = (int(a[0]) for a in np.nonzero(bad))

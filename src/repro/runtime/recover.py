@@ -148,7 +148,7 @@ class SolutionRecovery:
         spec = self.program.spec
         env = dict(self.params)
         env.update(point)
-        if not spec.constraints.satisfied(env):
+        if not self._compiled.in_space(env):
             raise RuntimeExecutionError(
                 f"point {dict(point)} is outside the iteration space"
             )

@@ -3,11 +3,19 @@
 Generation (Fourier–Motzkin, loop synthesis) is deterministic and
 moderately expensive for the 6-D problems, so programs are generated
 once and shared; they are immutable analysis products.
+
+Two autouse guards keep tier-1 deterministic whichever module forks the
+process backend: no test may leave a ``/dev/shm`` segment behind, and a
+test that runs past :data:`TEST_TIMEOUT_S` (a hung worker, a deadlocked
+drain) fails on its own instead of hanging the run.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import shutil
+import signal
 
 import pytest
 
@@ -21,6 +29,60 @@ from repro.problems import (
     three_arm_spec,
     two_arm_spec,
 )
+
+
+SHM_DIR = "/dev/shm"
+
+#: Hard per-test limit in seconds; the slowest tier-1 test takes ~20 s.
+TEST_TIMEOUT_S = 300
+
+
+def _shm_entries():
+    """Names currently present in the shared-memory filesystem."""
+    try:
+        return set(os.listdir(SHM_DIR))
+    except FileNotFoundError:  # pragma: no cover - non-POSIX-shm platform
+        return set()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_segments():
+    """Every test must leave /dev/shm exactly as it found it."""
+    before = _shm_entries()
+    yield
+    leaked = _shm_entries() - before
+    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+
+@contextlib.contextmanager
+def alarm_after(seconds, what):
+    """Fail with "*what* exceeded ..." if the body runs past *seconds*.
+
+    SIGALRM interrupts whatever the main thread is blocked in (a pipe
+    read from a hung worker, a join) and the failure propagates through
+    the runtime's own ``finally`` clean-up.  Forked workers do not
+    inherit a pending alarm; an enclosing alarm is re-armed on exit.
+    """
+
+    def on_alarm(signum, frame):
+        pytest.fail(
+            f"{what} exceeded the hard per-test timeout of {seconds} s"
+        )
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    remaining = signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(remaining)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def hard_timeout(request):
+    """Fail the test, not the run, when it exceeds TEST_TIMEOUT_S."""
+    with alarm_after(TEST_TIMEOUT_S, request.node.nodeid):
+        yield
 
 
 @pytest.fixture(scope="session")

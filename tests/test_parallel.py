@@ -8,7 +8,8 @@ pinned identical to the inline backend across problems, rank counts and
 engine modes.  Failure injection checks the other half of the contract:
 a worker that dies or raises mid-run must surface as a fast
 :class:`RuntimeExecutionError` naming the rank, never a hang, and no
-``/dev/shm`` segment may survive any exit path.
+``/dev/shm`` segment may survive any exit path (tests/conftest.py's
+autouse leak fixture checks that after every test of the suite).
 """
 
 from __future__ import annotations
@@ -25,25 +26,6 @@ from hypothesis import strategies as st
 from repro.errors import RuntimeExecutionError
 from repro.runtime import execute, run_spmd, run_spmd_process, tile_graph
 from repro.simulate import MachineModel, simulate_program
-
-SHM_DIR = "/dev/shm"
-
-
-def _shm_entries():
-    """Names currently present in the shared-memory filesystem."""
-    try:
-        return set(os.listdir(SHM_DIR))
-    except FileNotFoundError:  # pragma: no cover - non-POSIX-shm platform
-        return set()
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test must leave /dev/shm exactly as it found it."""
-    before = _shm_entries()
-    yield
-    leaked = _shm_entries() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
 def _assert_same_run(proc, inline):

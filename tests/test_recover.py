@@ -1,6 +1,7 @@
 """Solution recovery (Section VII-A): saved edges + tile recomputation."""
 
 import ast
+import itertools
 import re
 
 import numpy as np
@@ -15,7 +16,12 @@ from repro.problems import (
     two_arm_reference,
     viterbi_spec,
 )
-from repro.runtime import SolutionRecovery, execute, solve_reference
+from repro.runtime import (
+    SolutionRecovery,
+    compiled_executor,
+    execute,
+    solve_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +48,25 @@ class TestPointQueries:
 
     def test_outside_point_rejected(self, bandit_recovery):
         with pytest.raises(RuntimeExecutionError):
+            bandit_recovery.value_at({"s1": 8, "f1": 0, "s2": 0, "f2": 0})
+
+    def test_in_space_predicate_is_the_specs(
+        self, bandit2_program, bandit_recovery
+    ):
+        # The compiled integer predicate `_locate` uses, against the
+        # Fraction-arithmetic ConstraintSystem it replaced there.
+        spec = bandit2_program.spec
+        in_space = compiled_executor(bandit2_program).in_space
+        inside = 0
+        for key in itertools.product(range(-1, 5), repeat=4):
+            env = dict(zip(spec.loop_vars, key), N=3)
+            assert in_space(env) == spec.constraints.satisfied(env)
+            inside += in_space(env)
+        assert 0 < inside < 6 ** 4
+        with pytest.raises(
+            RuntimeExecutionError,
+            match=r"point \{.*'s1': 8.*\} is outside the iteration space",
+        ):
             bandit_recovery.value_at({"s1": 8, "f1": 0, "s2": 0, "f2": 0})
 
     def test_invalid_tile_rejected(self, bandit_recovery):

@@ -6,7 +6,9 @@ untiled ``solve_reference`` oracle on every bundled problem, at every
 tile width, across every rank count.  This suite pins exactly that, plus
 the dispatch/degradation contract (``mode="auto"`` never raises), the
 masked lane-gather path's own contract (no per-tile fallback, masks
-equal to the per-tile engine's, sub-batching invisible), the array
+equal to the per-tile engine's, the sub-batch lane list equal to a scan
+per level, sub-batching invisible, a front wider than its arena
+rejected), the array
 pack/unpack contract (byte-for-byte the ``PackPlan`` scans; wavefront
 runs retain interpreter-identical edges under ``keep_edges``), the
 deadlock-free guarantee of batch draining under pathological rank
@@ -308,6 +310,78 @@ class TestMaskedLaneGather:
                 assert np.array_equal(
                     masks[1 + t, b], level_ordered(validity[name])
                 )
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_lane_list_slices_are_the_per_level_scans(self, case, data):
+        program, params = case
+        graph = tile_graph(program, params)
+        engine = compiled_executor(program).wavefront_engine
+        # Random sub-batches: out-of-box tiles (no lane at all) beside
+        # the graph's last tile, a single-cell corner wherever the width
+        # leaves a remainder of one (edit-w3, bandit2's simplex tips).
+        tiles = data.draw(
+            st.lists(
+                st.tuples(
+                    *(
+                        st.integers(int(lo) - 1, int(hi) + 1)
+                        for lo, hi in zip(
+                            graph.tile_array.min(axis=0),
+                            graph.tile_array.max(axis=0),
+                        )
+                    )
+                ),
+                max_size=4,
+            )
+        ) + [graph.tile_tuples[-1]]
+        run = WavefrontRun(engine, graph, params)
+        space = run._masks(np.array(tiles, dtype=np.int64))[0]
+        cells, owners, cuts = run._lanes(space)
+        assert len(cuts) == len(engine._level_ends) + 1
+        assert (cuts[0], cuts[-1]) == (0, cells.size)
+        assert cells.size == np.count_nonzero(space)
+        lo = 0
+        for level, hi in enumerate(engine._level_ends):
+            # The formulation this list replaced: one strided scan per
+            # level, lanes tile-major.
+            bi, ci = np.nonzero(space[:, lo:hi])
+            ci += lo
+            lo = hi
+            mine_c = cells[cuts[level]:cuts[level + 1]]
+            mine_b = owners[cuts[level]:cuts[level + 1]]
+            # Listed cell-major, each lane once ...
+            assert np.all(np.diff(mine_c * len(tiles) + mine_b) > 0)
+            # ... and, put tile-major, the scan element for element.
+            order = np.lexsort((mine_c, mine_b))
+            assert np.array_equal(mine_b[order], bi)
+            assert np.array_equal(mine_c[order], ci)
+
+    def test_front_wider_than_the_arena_is_rejected(self, bandit2_program):
+        params = {"N": 7}
+        graph = tile_graph(bandit2_program, params)
+        engine = compiled_executor(bandit2_program).wavefront_engine
+        arena = np.empty((1,) + engine.padded_shape)
+        run = WavefrontRun(engine, graph, params, arena=arena)
+        sched = TileScheduler(graph, batch=True)
+        sched.seed()
+        with pytest.raises(RuntimeExecutionError) as err:
+            while True:
+                rows = sched.start_batch(0)
+                assert rows, "no front was wider than one tile"
+                run.execute_batch(rows)
+                for row in rows:
+                    for consumer, _, _, _ in sched.outgoing(row):
+                        sched.deliver_edge(consumer)
+                    sched.finish_tile(row)
+        assert len(rows) > 1
+        assert str(err.value) == (
+            f"front of {len(rows)} tiles exceeds the wavefront arena's "
+            "capacity of 1"
+        )
 
     def test_poisoned_interior_names_tile_template_point(
         self, bandit2_program
