@@ -3,36 +3,49 @@
 This is the Python twin of the generated C runtime.  The scheduling
 protocol — pending tiles, priority-ordered ready queues, packed-edge
 buffering — lives in one place, :class:`repro.runtime.scheduler.TileScheduler`;
-this module is the *numeric driver* of that core: each started tile
-allocates a padded array, unpacks the incoming edges into its ghost
-margins, scans its local iteration space in the legal direction
-evaluating the user kernel, packs its outgoing edges, and frees the
-array — only edges stay buffered, which is the paper's memory-saving
-design (Section V-B).
+this module owns the *numeric driver* of that core, written once:
+:meth:`_RunState.turn` starts what a rank can start, unpacks the
+incoming edges into the ghost margins of a padded working array, scans
+the local iteration space in the legal direction evaluating the user
+kernel, packs the outgoing edges and releases the tile — only edges stay
+buffered, which is the paper's memory-saving design (Section V-B).  It
+is the single scheduling loop body of the runtime, as the generated C
+has a single one with MPI compiled in or out around it: the transports
+(:mod:`repro.runtime.spmd` inline, :mod:`repro.runtime.parallel` one
+process per rank) only decide whose turn it is and what happens to an
+edge that crosses a rank boundary, and a plain single-rank ``execute``
+is ``ranks=1`` over the inline transport.  Who owns what:
 
-Two center-loop engines share that outer protocol:
+* :class:`_RunState` — per run: the tile body, the edge pack/unpack,
+  the rank turn, and (after ``begin``) the scheduler, the per-rank
+  :class:`~repro.runtime.fastpath.WavefrontRun`, retained edges and
+  tile order;
+* :class:`CompiledExecutor` — per program, cached: every loop-invariant
+  compiled artifact (local-space scanner, validity-check closures, the
+  array engines) and the ``mode`` dispatch, so repeated runs
+  (benchmarks, calibration sweeps) stop re-deriving them;
+* :func:`execute` — the entry point: tile-width override, ``schedule=
+  "auto"`` tuning, then :func:`repro.runtime.spmd.run_spmd`;
+* :func:`merge_payloads` — the one place a driver
+  :class:`ExecutionResult` is built, for both transports.
+
+Three center-loop engines share the turn:
 
 * the **interpreter** evaluates the scalar Python kernel point by point
-  (slow, obviously correct), and
-* the **vectorized fast path** (:mod:`repro.runtime.fastpath`) evaluates
-  whole anti-diagonal wavefronts with numpy array expressions when the
-  spec carries a vector kernel.
+  (slow, obviously correct),
+* the per-tile **vector** engine (:mod:`repro.runtime.fastpath`)
+  evaluates whole anti-diagonal wavefronts of one tile with numpy array
+  expressions when the spec carries a vector kernel, and
+* the **wavefront** engine evaluates a rank's whole ready front as one
+  batch.
 
 ``execute(..., mode=...)`` selects the engine: ``"auto"`` (default)
-uses the fast path whenever the program supports it and falls back to
-the interpreter otherwise; ``"interpret"``/``"vector"`` force one
-engine (``"vector"`` raises when unsupported).  Edges follow the
-engine: the interpreter packs and unpacks through the generated
+uses the fastest one the program supports and falls back to the
+interpreter otherwise; the other values force one engine (and raise
+when it is unsupported).  Edges follow the engine: the interpreter packs
+and unpacks through the generated
 :class:`~repro.generator.packing.PackPlan` scans, the array engines
 through array slices of the same face slabs (byte-identical buffers).
-``execute(..., ranks=P)`` with ``P > 1`` partitions the tiles by the
-load balancer's rank assignment and runs the multi-rank SPMD harness
-(:mod:`repro.runtime.spmd`) instead of the single-rank driver; results
-are bit-identical by construction.  All loop-invariant compiled
-artifacts — the local-space scanner, the validity-check closures, the
-vector engine — are cached per program in a :class:`CompiledExecutor`,
-so repeated runs (benchmarks, calibration sweeps) stop re-deriving
-them.
 
 Every numerical result is produced here by actually evaluating the
 recurrence; tests compare the outputs against independent brute-force
@@ -41,7 +54,7 @@ solvers, and the fast path is pinned bit-identical to the interpreter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -56,7 +69,8 @@ from .fastpath import (
     WavefrontRun,
     vector_unsupported_reason,
 )
-from .graph import TileGraph, TileIndex, tile_graph
+from .graph import TileGraph, TileIndex
+from .memory import EdgeMemoryTracker
 from .scheduler import TileScheduler, TransitionEvent
 
 EXECUTION_MODES = ("auto", "interpret", "vector", "wavefront")
@@ -84,7 +98,7 @@ class ExecutionResult:
     #: single-thread — also the value for plain single-rank runs) or
     #: "process" (one OS process per rank over shared memory).
     backend: str = "inline"
-    #: How many SPMD ranks executed the run (1 = the plain executor).
+    #: How many SPMD ranks executed the run.
     ranks: int = 1
     #: Per-rank edge-memory snapshots (same keys as ``memory``, which
     #: aggregates across ranks).  Cells are float64 state-array elements;
@@ -153,18 +167,21 @@ def _compile_constraints(constraints):
 
 
 class _RunState:
-    """Per-run numeric state: one tile body shared by every driver.
+    """Per-run state: the one tile body and the one rank turn.
 
-    Owns the objective bookkeeping, the optional ``values`` record, and
-    the reused per-point environments of the interpreter.
-    :meth:`execute_tile` evaluates one tile's local iteration space
-    (ghosts already unpacked into *array*) with whichever engine the run
-    resolved to — the single-rank executor, the multi-rank SPMD harness
-    and solution recovery call exactly the same body, which is what
-    makes their numbers bit-identical regardless of scheduling.
-    :meth:`pack_edge`/:meth:`unpack_edge` are the run's edge transport:
-    array slices for the array engines, the generated
-    :class:`~repro.generator.packing.PackPlan` scans for the interpreter.
+    The numeric half — objective bookkeeping, the optional ``values``
+    record, the interpreter's reused per-point environments,
+    :meth:`execute_tile` and the edge transport
+    :meth:`pack_edge`/:meth:`unpack_edge` (array slices for the array
+    engines, the generated :class:`~repro.generator.packing.PackPlan`
+    scans for the interpreter) — is all solution recovery needs.  A
+    driver additionally calls :meth:`begin`, after which the state owns
+    the run's :class:`~repro.runtime.scheduler.TileScheduler`, one
+    :class:`~repro.runtime.fastpath.WavefrontRun` per rank when the run
+    resolved to ``wavefront``, the retained edges and the tile order,
+    and :meth:`turn` is the only scheduling loop body in the runtime:
+    every transport, at every rank count, takes its turns through it,
+    which is what makes their numbers and traces identical.
     """
 
     def __init__(
@@ -174,16 +191,15 @@ class _RunState:
         kernel: Optional[Kernel],
         engine: Optional[VectorTileEngine],
         record_values: bool,
+        resolved: str,
     ):
         self.ce = ce
         self.params = params
         self.kernel = kernel
         self.engine = engine
+        self.resolved = resolved
         spec = ce.spec
         self.objective = spec.objective(params)
-        self.objective_key = tuple(
-            self.objective[v] for v in spec.loop_vars
-        )
         self.objective_tile = ce.program.spaces.point_to_tile(self.objective)
         self.objective_value: Optional[float] = None
         self.values: Optional[Dict[Tuple[int, ...], float]] = (
@@ -197,14 +213,154 @@ class _RunState:
         self._genv: Dict[str, int] = dict(params)
         self._point: Dict[str, int] = {}
         self._deps: Dict[str, Optional[float]] = {}
+        # The scheduling half, filled in by begin().
+        self.sched: Optional[TileScheduler] = None
+        self.runs: Dict[int, WavefrontRun] = {}
+        self.arenas: Dict[int, np.ndarray] = {}
+        self.kept_edges: Optional[
+            Dict[Tuple[TileIndex, TileIndex], np.ndarray]
+        ] = None
+        self.tile_order: List[TileIndex] = []
+
+    def begin(
+        self,
+        graph: TileGraph,
+        ranks: int,
+        rank_of,
+        arenas: Dict[int, np.ndarray],
+        priority_scheme: str,
+        record_events: bool,
+        schedule: str,
+        keep_edges: bool,
+    ) -> TileScheduler:
+        """Attach the scheduling half of a driver run; returns the
+        scheduler (seeding it is the transport's call).
+
+        *arenas* maps every rank this state takes turns for to its
+        ``(planes, *padded_shape)`` float64 working buffer, sized by
+        :func:`repro.runtime.spmd.arena_capacities` — the widest front
+        for a wavefront run, one scratch plane reused by every tile for
+        the per-tile engines.  The transport decides where it lives:
+        heap for the inline one, shared memory for the process one.
+        """
+        wavefront = self.resolved == "wavefront"
+        self.sched = TileScheduler(
+            graph,
+            ranks=ranks,
+            rank_of=rank_of,
+            priority_scheme=priority_scheme,
+            record_events=record_events,
+            batch=wavefront,
+            schedule=schedule,
+        )
+        self.arenas = arenas
+        self.kept_edges = {} if keep_edges else None
+        if wavefront:
+            self.runs = {
+                rank: WavefrontRun(
+                    self.ce.wavefront_engine, graph, self.params,
+                    rank_of=rank_of, values=self.values, arena=arena,
+                    keep_edges=keep_edges,
+                )
+                for rank, arena in arenas.items()
+            }
+        return self.sched
+
+    def turn(self, rank: int, post) -> bool:
+        """One scheduling turn of *rank*; False when it had nothing ready.
+
+        Start what the rank can start — one tile, or its whole lowest
+        ready front when the run resolved to ``wavefront`` — evaluate
+        it, note the objective, then per started tile pack each outgoing
+        edge, keep it under ``keep_edges``, hand it on, and release the
+        tile.  A same-rank edge is buffered in the scheduler and
+        delivered at once; a cross-rank edge goes to
+        ``post(rank, dest_rank, row, consumer_row, buffer)``, the one
+        step that differs between transports (delivery then happens at
+        the destination's recv).
+        """
+        sched = self.sched
+        tile_tuples = sched.tile_tuples
+        if self.resolved == "wavefront":
+            rows = sched.start_batch(rank)
+            if not rows:
+                return False
+            # The front's packed incoming edges (cross-rank; all of them
+            # under keep_edges) come out of the store; the rest
+            # ghost-fill from retained interiors inside execute_batch.
+            arrays = self.runs[rank].execute_batch(
+                rows,
+                packed=sched.take_front_edges(
+                    rows, self.kept_edges is not None
+                ),
+            )
+        else:
+            row = sched.start_tile(rank)
+            if row is None:
+                return False
+            rows = [row]
+            array = self.arenas[rank][0]
+            array.fill(np.nan)
+            for producer, delta_id, buffer in sched.consume_edges(row):
+                self.unpack_edge(
+                    tile_tuples[producer], delta_id, buffer, array
+                )
+            self.execute_tile(tile_tuples[row], array)
+            arrays = [array]
+
+        kept_edges = self.kept_edges
+        # A wavefront run's same-rank edges travel as slices of retained
+        # interiors; every other edge (all of them under keep_edges)
+        # takes the packed route.
+        slice_local = self.resolved == "wavefront" and kept_edges is None
+        for row, array in zip(rows, arrays):
+            tile = tile_tuples[row]
+            self.tile_order.append(tile)
+            self.note_objective(tile, array)
+            for consumer, delta_id, _, dest in sched.outgoing(row):
+                if dest == rank and slice_local:
+                    sched.deliver_edge(consumer)
+                    continue
+                buffer = self.pack_edge(tile, delta_id, array)
+                if kept_edges is not None:
+                    kept_edges[(tile, tile_tuples[consumer])] = buffer
+                if dest == rank:
+                    sched.send_edge(row, consumer, buffer, len(buffer))
+                    sched.deliver_edge(consumer)
+                else:
+                    post(rank, dest, row, consumer, buffer)
+            sched.finish_tile(row)
+        return True
+
+    def payload(self) -> Dict[str, object]:
+        """What this state's scheduler saw, in the shape
+        :func:`merge_payloads` folds: the whole run for the inline
+        transport, one rank's share (the other ranks' entries zero) for
+        a process worker."""
+        sched = self.sched
+        for run in self.runs.values():
+            run.verify_drained()
+        return {
+            "objective_value": self.objective_value,
+            "cells": self.cells_computed
+            + sum(run.cells for run in self.runs.values()),
+            "tile_order": self.tile_order,
+            "memory": sched.memory_snapshot(),
+            "memory_per_rank": sched.memory_per_rank(),
+            "tiles_per_rank": list(sched.finished_per_rank),
+            "cross_rank_messages": sched.cross_rank_messages,
+            "cross_rank_cells": sched.cross_rank_cells,
+            "values": self.values,
+            "events": sched.events,
+            "edges": self.kept_edges,
+        }
 
     def note_objective(self, tile: TileIndex, array: np.ndarray) -> None:
-        """Record the objective cell if *tile* holds it (array engines).
+        """Record the objective cell if *tile* holds it.
 
-        The vector and wavefront engines write whole arrays instead of
-        visiting points one by one, so the objective is read back from
-        the tile's padded array after evaluation; NaN means the
-        objective point is outside the iteration space (prefix runs).
+        Read back from the tile's padded *array* after evaluation,
+        whichever engine filled it; NaN means the objective point is
+        outside the iteration space (prefix runs).
         """
         if tile != self.objective_tile:
             return
@@ -271,7 +427,6 @@ class _RunState:
         engine = self.engine
         if engine is not None:
             cells = engine.execute_tile(tile, array, self.params, values)
-            self.note_objective(tile, array)
             self.cells_computed += cells
             return cells
 
@@ -279,7 +434,6 @@ class _RunState:
         genv = self._genv
         point = self._point
         deps = self._deps
-        objective_key = self.objective_key
         check_fns = ce.check_fns
         per_template = ce.per_template
         tile_env = dict(self.params)
@@ -314,8 +468,6 @@ class _RunState:
             cells += 1
             if values is not None:
                 values[key] = float(result)
-            if key == objective_key:
-                self.objective_value = float(result)
         self.cells_computed += cells
         return cells
 
@@ -490,10 +642,10 @@ class CompiledExecutor:
         resolved: str,
         record_values: bool,
     ) -> _RunState:
-        """The per-run numeric state for one resolved engine (see
-        :class:`_RunState`); per-tile drivers call ``state.execute_tile``
-        per started tile, and every driver packs and unpacks edges
-        through it."""
+        """The per-run state for one resolved engine (see
+        :class:`_RunState`): recovery recomputes tiles through its
+        ``unpack_edge``/``execute_tile``; a transport calls ``begin``
+        and then takes every rank's turns through ``turn``."""
         if resolved == "interpret":
             if kernel is None:
                 kernel = self.spec.kernel
@@ -503,198 +655,8 @@ class CompiledExecutor:
                     "pass kernel="
                 )
         engine = None if resolved == "interpret" else self.vector_engine
-        return _RunState(self, params, kernel, engine, record_values)
-
-    # -- the run --------------------------------------------------------------
-
-    def run(
-        self,
-        params: Mapping[str, int],
-        kernel: Optional[Kernel] = None,
-        priority_scheme: str = "lb-first",
-        record_values: bool = False,
-        graph: Optional[TileGraph] = None,
-        keep_edges: bool = False,
-        mode: str = "auto",
-        record_events: bool = False,
-        schedule: str = "dynamic",
-    ) -> ExecutionResult:
-        """One single-rank run: drive the scheduler core, tile by tile."""
-        program = self.program
-        resolved = self.resolve_mode(mode, kernel)
-        params = dict(params)
-        if graph is None:
-            graph = tile_graph(program, params)
-        if resolved == "wavefront":
-            return self._run_wavefront(
-                params, graph, priority_scheme, record_values, record_events,
-                schedule, keep_edges,
-            )
-        layout = program.layout
-
-        state = self.make_run_state(params, kernel, resolved, record_values)
-        sched = TileScheduler(
-            graph,
-            priority_scheme=priority_scheme,
-            record_events=record_events,
-            schedule=schedule,
-        )
-        sched.seed()
-
-        tile_tuples = graph.tile_tuples
-        kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
-            {} if keep_edges else None
-        )
-        tile_order: List[TileIndex] = []
-
-        while True:
-            row = sched.start_tile(0)
-            if row is None:
-                break
-            tile = tile_tuples[row]
-            tile_order.append(tile)
-            array = np.full(layout.padded_shape, np.nan, dtype=np.float64)
-
-            # Unpack incoming edges into the ghost margins.
-            for producer, delta_id, buffer in sched.consume_edges(row):
-                state.unpack_edge(
-                    tile_tuples[producer], delta_id, buffer, array
-                )
-
-            # Execute the tile's local iteration space in the legal order.
-            state.execute_tile(tile, array)
-
-            # Pack outgoing edges, deliver to consumers, release the tile.
-            for consumer, delta_id, _, _ in sched.outgoing(row):
-                buffer = state.pack_edge(tile, delta_id, array)
-                if kept_edges is not None:
-                    kept_edges[(tile, tile_tuples[consumer])] = buffer
-                sched.send_edge(row, consumer, buffer, len(buffer))
-                sched.deliver_edge(consumer)
-            sched.finish_tile(row)
-
-        sched.verify_drained()
-        if state.cells_computed != graph.total_work():
-            raise RuntimeExecutionError(
-                f"computed {state.cells_computed} cells but the graph holds "
-                f"{graph.total_work()} points"
-            )
-
-        return ExecutionResult(
-            objective_point=state.objective,
-            objective_value=state.objective_value,
-            tiles_executed=len(tile_order),
-            cells_computed=state.cells_computed,
-            tile_order=tile_order,
-            memory=sched.memory_snapshot(),
-            values=state.values,
-            edges=kept_edges,
-            mode=resolved,
-            ranks=1,
-            memory_per_rank=sched.memory_per_rank(),
-            tiles_per_rank=list(sched.finished_per_rank),
-            events=sched.events,
-            schedule=schedule,
-            tile_widths=dict(self.spec.tile_widths),
-        )
-
-    def _run_wavefront(
-        self,
-        params: Dict[str, int],
-        graph: TileGraph,
-        priority_scheme: str,
-        record_values: bool,
-        record_events: bool,
-        schedule: str = "dynamic",
-        keep_edges: bool = False,
-    ) -> ExecutionResult:
-        """One single-rank wavefront-fused run: drain whole fronts.
-
-        The batch scheduler pops every ready tile of the current static
-        wavefront level at once and :class:`WavefrontRun` evaluates the
-        front against one shared padded array — interior edges travel as
-        array slices, so nothing is packed (the priority scheme is
-        irrelevant here: the schedule *is* the level order).  With
-        *keep_edges* every edge instead takes the packed route the SPMD
-        drivers use at rank boundaries — array-packed from the batch,
-        buffered in the scheduler, array-unpacked into the consumer's
-        front — so the retained edges and the edge-memory accounting
-        mean what they mean in the per-tile drivers.  The per-tile path
-        stays the oracle; results are pinned bit-identical in
-        tests/test_wavefront.py.
-        """
-        state = self.make_run_state(params, None, "wavefront", record_values)
-        sched = TileScheduler(
-            graph,
-            priority_scheme=priority_scheme,
-            record_events=record_events,
-            batch=True,
-            schedule=schedule,
-        )
-        sched.seed()
-        # One ghost-array arena sized for the widest static front,
-        # reused by every execute_batch call instead of a fresh
-        # allocation per front (results are read out before the next
-        # batch overwrites it).
-        cap = int(np.bincount(graph.wavefront_levels()).max())
-        arena = np.empty(
-            (cap,) + tuple(self.program.layout.padded_shape),
-            dtype=np.float64,
-        )
-        run = WavefrontRun(
-            self.wavefront_engine, graph, params, values=state.values,
-            arena=arena, keep_edges=keep_edges,
-        )
-
-        tile_tuples = graph.tile_tuples
-        kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
-            {} if keep_edges else None
-        )
-        tile_order: List[TileIndex] = []
-        while True:
-            rows = sched.start_batch(0)
-            if not rows:
-                break
-            batch = run.execute_batch(
-                rows, packed=sched.take_front_edges(rows, keep_edges)
-            )
-            for b, row in enumerate(rows):
-                tile = tile_tuples[row]
-                tile_order.append(tile)
-                state.note_objective(tile, batch[b])
-                for consumer, delta_id, _, _ in sched.outgoing(row):
-                    if kept_edges is not None:
-                        buffer = state.pack_edge(tile, delta_id, batch[b])
-                        kept_edges[(tile, tile_tuples[consumer])] = buffer
-                        sched.send_edge(row, consumer, buffer, len(buffer))
-                    sched.deliver_edge(consumer)
-                sched.finish_tile(row)
-
-        sched.verify_drained()
-        run.verify_drained()
-        state.cells_computed = run.cells
-        if state.cells_computed != graph.total_work():
-            raise RuntimeExecutionError(
-                f"computed {state.cells_computed} cells but the graph holds "
-                f"{graph.total_work()} points"
-            )
-
-        return ExecutionResult(
-            objective_point=state.objective,
-            objective_value=state.objective_value,
-            tiles_executed=len(tile_order),
-            cells_computed=state.cells_computed,
-            tile_order=tile_order,
-            memory=sched.memory_snapshot(),
-            values=state.values,
-            edges=kept_edges,
-            mode="wavefront",
-            ranks=1,
-            memory_per_rank=sched.memory_per_rank(),
-            tiles_per_rank=list(sched.finished_per_rank),
-            events=sched.events,
-            schedule=schedule,
-            tile_widths=dict(self.spec.tile_widths),
+        return _RunState(
+            self, params, kernel, engine, record_values, resolved
         )
 
 
@@ -739,11 +701,11 @@ def execute(
     the interpreter otherwise), ``"interpret"``, ``"vector"``, or
     ``"wavefront"`` (forced modes raise when the engine cannot run this
     program).  *ranks* > 1 partitions the tiles
-    with the load balancer (*lb_method*) and runs the SPMD harness —
-    same numbers, plus per-rank accounting and cross-rank message
-    counts.  *record_events* returns the scheduler's transition trace
-    in ``ExecutionResult.events``.  *backend* selects the multi-rank
-    transport: ``"inline"`` (default — ranks interleaved cooperatively
+    with the load balancer (*lb_method*) — same numbers, plus per-rank
+    accounting and cross-rank message counts; the default single rank
+    is the same loop with nothing to exchange.  *record_events* returns
+    the scheduler's transition trace in ``ExecutionResult.events``.
+    *backend* selects the multi-rank transport: ``"inline"`` (default — ranks interleaved cooperatively
     in this thread, the deterministic oracle) or ``"process"`` (one OS
     worker process per rank over ``multiprocessing.shared_memory``
     ghost arrays, for real multi-core wall-clock wins; see
@@ -792,34 +754,95 @@ def execute(
         schedule = decision.schedule
         if decision.tile_widths != dict(program.spec.tile_widths):
             program = retile_program(program, decision.tile_widths)
-    if backend != "inline" or ranks > 1:
-        from .spmd import run_spmd
+    from .spmd import run_spmd
 
-        return run_spmd(
-            program,
-            params,
-            ranks=ranks,
-            kernel=kernel,
-            priority_scheme=priority_scheme,
-            record_values=record_values,
-            graph=graph,
-            keep_edges=keep_edges,
-            mode=mode,
-            lb_method=lb_method,
-            record_events=record_events,
-            backend=backend,
-            schedule=schedule,
-        )
-    return compiled_executor(program).run(
+    return run_spmd(
+        program,
         params,
+        ranks=ranks,
         kernel=kernel,
         priority_scheme=priority_scheme,
         record_values=record_values,
         graph=graph,
         keep_edges=keep_edges,
         mode=mode,
+        lb_method=lb_method,
         record_events=record_events,
+        backend=backend,
         schedule=schedule,
+    )
+
+
+def merge_payloads(
+    program: GeneratedProgram,
+    params: Dict[str, int],
+    graph: TileGraph,
+    resolved: str,
+    ranks: int,
+    backend: str,
+    schedule: str,
+    payloads: List[Dict[str, object]],
+) -> ExecutionResult:
+    """Fold :meth:`_RunState.payload` dicts into the run's result.
+
+    The inline transport hands over one payload covering every rank, the
+    process transport one per worker in rank order.  Per-rank entries and
+    totals sum (a worker's entries for the ranks it does not own are
+    zero); tile orders, values, retained edges and event traces
+    concatenate in payload order, events renumbered.
+    """
+    cells = sum(p["cells"] for p in payloads)
+    if cells != graph.total_work():
+        raise RuntimeExecutionError(
+            f"computed {cells} cells but the graph holds "
+            f"{graph.total_work()} points"
+        )
+    first = payloads[0]
+    values, edges, events = first["values"], first["edges"], first["events"]
+    for p in payloads[1:]:
+        if values is not None:
+            values.update(p["values"])
+        if edges is not None:
+            edges.update(p["edges"])
+    if events is not None and len(payloads) > 1:
+        events = [
+            replace(e, seq=seq)
+            for seq, e in enumerate(e for p in payloads for e in p["events"])
+        ]
+    tiles_per_rank = [
+        sum(tiles) for tiles in zip(*(p["tiles_per_rank"] for p in payloads))
+    ]
+    return ExecutionResult(
+        objective_point=program.spec.objective(params),
+        objective_value=next(
+            (
+                p["objective_value"]
+                for p in payloads
+                if p["objective_value"] is not None
+            ),
+            None,
+        ),
+        tiles_executed=sum(tiles_per_rank),
+        cells_computed=cells,
+        tile_order=[t for p in payloads for t in p["tile_order"]],
+        memory=EdgeMemoryTracker.merge_snapshots(
+            [p["memory"] for p in payloads]
+        ),
+        values=values,
+        edges=edges,
+        mode=resolved,
+        backend=backend,
+        ranks=ranks,
+        memory_per_rank=[
+            EdgeMemoryTracker.merge_snapshots(snaps)
+            for snaps in zip(*(p["memory_per_rank"] for p in payloads))
+        ],
+        tiles_per_rank=tiles_per_rank,
+        cross_rank_messages=sum(p["cross_rank_messages"] for p in payloads),
+        cross_rank_cells=sum(p["cross_rank_cells"] for p in payloads),
+        events=events,
+        schedule=schedule,
+        tile_widths=dict(program.spec.tile_widths),
     )
 
 

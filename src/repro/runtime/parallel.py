@@ -1,27 +1,33 @@
-"""Process-parallel SPMD backend: one OS worker per rank, for real.
+"""The process SPMD transport: one OS worker per rank, for real.
 
-The inline harness (:mod:`repro.runtime.spmd`) validates the full MPI
+The inline transport (:mod:`repro.runtime.spmd`) validates the full MPI
 protocol but interleaves ranks cooperatively in one thread, so
 ``ranks=4`` costs *more* wall-clock than ``ranks=1``.  This module runs
-the same protocol across real ``multiprocessing`` workers:
+the same protocol across real ``multiprocessing`` workers.  It owns no
+tile body and no scheduling loop body: a worker is ``recv → turn →
+wait`` around :meth:`repro.runtime.executor._RunState.turn`, the same
+turn the inline transport takes, and what lives here is the transport —
+``_drain_inbox`` (recv), ``_post_edge`` (a cross-rank send),
+``_idle_wait``, the shared-memory segments, the fork, and the parent
+that collects the per-rank payloads:
 
 * **Workers fork, artifacts are inherited.**  The parent resolves the
   engine, builds the tile graph, the rank assignment and every compiled
-  artifact *before* forking, so each worker shares them copy-on-write —
-  no pickling of programs, kernels or CSR arrays.  Each worker drives
-  its own :class:`~repro.runtime.scheduler.TileScheduler` (wavefront-
-  batched when the engine supports it, exactly like PR 5's fused path)
-  restricted to its rank's tiles.
+  artifact *before* forking (:func:`repro.runtime.spmd.resolve_run`),
+  so each worker shares them copy-on-write — no pickling of programs,
+  kernels or CSR arrays.  Each worker drives its own
+  :class:`~repro.runtime.scheduler.TileScheduler`, seeded with its
+  rank's tiles only.
 
-* **Ghost arrays live in ``multiprocessing.shared_memory``.**  The
+* **Working arrays live in ``multiprocessing.shared_memory``.**  The
   parent creates one segment per cross-rank ``(src, dst)`` channel —
   a flat float64 slab with a statically precomputed slot per cross-rank
-  edge — plus one per-rank ghost-array arena sized for the rank's
-  widest wavefront level, which the worker's
-  :class:`~repro.runtime.fastpath.WavefrontRun` evaluates batches into
-  directly (``arena=``).  All segments are created and unlinked by the
-  parent under a ``finally`` guard, so repeated runs never leak
-  ``/dev/shm`` entries even on worker crashes or KeyboardInterrupt.
+  edge — plus one arena per rank, sized by the rule both transports
+  share (:func:`repro.runtime.spmd.arena_capacities`: the rank's widest
+  wavefront level, or one scratch plane for the per-tile engines).  All
+  segments are created and unlinked by the parent under a ``finally``
+  guard, so repeated runs never leak ``/dev/shm`` entries even on
+  worker crashes or KeyboardInterrupt.
 
 * **Cross-rank edges travel through real queues.**  Each ``(src, dst)``
   channel is a one-way ``multiprocessing.Pipe``: the producer packs the
@@ -30,8 +36,8 @@ the same protocol across real ``multiprocessing`` workers:
   drains its inbound channels in ascending source order at the top of
   every scheduling turn, copies the payload out of the slab, and only
   then decrements the pending counter — the same send/recv/pending
-  discipline as the inline harness and the generated C's MPI protocol.
-  Payloads never cross the pipe; pipe writes double as the
+  discipline as the inline transport and the generated C's MPI
+  protocol.  Payloads never cross the pipe; pipe writes double as the
   happens-before barrier for the slab writes.
 
 * **A dead or stalled worker cannot hang the parent.**  The parent
@@ -42,7 +48,7 @@ the same protocol across real ``multiprocessing`` workers:
   and the parent enforces an overall deadline.  Every exit path
   terminates stragglers and unlinks the segments.
 
-The inline harness stays the deterministic oracle: objective values,
+The inline transport stays the deterministic oracle: objective values,
 recorded cells and cross-rank message counts are pinned identical
 between ``backend="inline"`` and ``backend="process"`` in
 tests/test_parallel.py.  Two documented deviations from the inline
@@ -58,7 +64,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -68,12 +75,10 @@ import numpy as np
 from ..errors import RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
 from ..spec import Kernel
-from .executor import ExecutionResult, compiled_executor
-from .fastpath import WavefrontRun
-from .graph import TileGraph, TileIndex, tile_graph
-from .memory import EdgeMemoryTracker
+from .executor import ExecutionResult, compiled_executor, merge_payloads
+from .graph import TileGraph
 from .scheduler import TileScheduler, TransitionEvent
-from .spmd import spmd_rank_assignment, validate_rank_of
+from .spmd import arena_capacities, resolve_run
 
 __all__ = ["run_spmd_process", "cross_edge_slots", "arena_capacities"]
 
@@ -123,34 +128,6 @@ def cross_edge_slots(graph: TileGraph, rank_of: np.ndarray):
         )
         channel_cells[key] = offset + capacity
     return channel_cells, slots
-
-
-def arena_capacities(
-    graph: TileGraph,
-    rank_of: np.ndarray,
-    ranks: int,
-    resolved: str = "wavefront",
-) -> List[int]:
-    """Per-rank ghost-arena plane counts for the process backend.
-
-    A wavefront worker evaluates whole fronts into its arena, so the
-    arena needs one padded plane per tile of the rank's *widest* static
-    wavefront level — fewer planes means two tiles of one batch would
-    alias the same plane (a write-write overlap the static analyzer
-    flags as ``RPR052``).  Per-tile engines reuse a single scratch
-    plane; a rank that owns no tiles needs none.
-    """
-    rank_arr = np.asarray(rank_of, dtype=np.int64)
-    caps: List[int] = []
-    if resolved == "wavefront":
-        levels = graph.wavefront_levels()
-        for r in range(ranks):
-            mine = levels[rank_arr == r]
-            caps.append(int(np.bincount(mine).max()) if mine.size else 0)
-    else:
-        for r in range(ranks):
-            caps.append(1 if int((rank_arr == r).sum()) else 0)
-    return caps
 
 
 class _SegmentPool:
@@ -206,7 +183,7 @@ class _WorkerContext:
     in_conns: Dict[int, mp_connection.Connection]
     out_conns: Dict[int, mp_connection.Connection]
     result_conn: mp_connection.Connection
-    arena: Optional[np.ndarray]
+    arena: np.ndarray
     timeout: float
     parent_pid: int
     #: Messages this worker must receive per source rank (static, from
@@ -227,18 +204,22 @@ class _WorkerContext:
     schedule: str = "dynamic"
 
 
-def _post_edge(ctx: _WorkerContext, row: int, consumer: int,
-               buffer: np.ndarray) -> None:
-    """Producer side of one cross-rank send: slab write, then descriptor."""
-    src, dst, offset, capacity = ctx.slots[(row, consumer)]
+def _post_edge(ctx: _WorkerContext, rank: int, dest: int, row: int,
+               consumer: int, buffer: np.ndarray) -> None:
+    """Producer side of one cross-rank send: slab write, then descriptor.
+
+    Nothing is recorded here: the consumer's worker buffers the edge and
+    emits ``edge_sent`` when it receives the descriptor.
+    """
+    _, _, offset, capacity = ctx.slots[(row, consumer)]
     n = len(buffer)
     if n > capacity:
         raise RuntimeExecutionError(
             f"packed edge {(row, consumer)} holds {n} cells but its "
             f"shared-memory slot caps at {capacity}"
         )
-    ctx.channel_views[(src, dst)][offset:offset + n] = buffer
-    ctx.out_conns[dst].send((row, consumer, n))
+    ctx.channel_views[(rank, dest)][offset:offset + n] = buffer
+    ctx.out_conns[dest].send((row, consumer, n))
 
 
 def _drain_inbox(ctx: _WorkerContext, sched: TileScheduler) -> bool:
@@ -312,129 +293,45 @@ def _worker_run(
     ctx: _WorkerContext,
     trace_out: Optional[List[Optional[List[TransitionEvent]]]] = None,
 ) -> Dict[str, object]:
-    """One rank's whole run; returns the per-rank result payload.
+    """One rank's whole run: recv, take a turn, or wait; returns the
+    per-rank result payload.
 
     *trace_out*, when given, receives the scheduler's (live) event list
     as soon as the scheduler exists, so a failing worker can still ship
     the partial trace it recorded — the sanitizer's killed-worker
     classification depends on it.
     """
-    program = ctx.program
-    graph = ctx.graph
-    params = ctx.params
-    ce = compiled_executor(program)
-    layout = program.layout
-    tile_tuples = graph.tile_tuples
-    wavefront = ctx.resolved == "wavefront"
-    keep_edges = ctx.keep_edges
-
-    sched = TileScheduler(
-        graph,
-        ranks=ctx.ranks,
-        rank_of=ctx.rank_of,
-        priority_scheme=ctx.priority_scheme,
-        record_events=ctx.record_events,
-        batch=wavefront,
-        schedule=ctx.schedule,
+    state = compiled_executor(ctx.program).make_run_state(
+        ctx.params, ctx.kernel, ctx.resolved, ctx.record_values
+    )
+    sched = state.begin(
+        ctx.graph,
+        ctx.ranks,
+        ctx.rank_of,
+        {rank: ctx.arena},
+        ctx.priority_scheme,
+        ctx.record_events,
+        ctx.schedule,
+        ctx.keep_edges,
     )
     if trace_out is not None:
         trace_out.append(sched.events)
-    _seed_rank(sched, graph, rank)
+    _seed_rank(sched, ctx.graph, rank)
     my_total = sum(1 for r in ctx.rank_of if r == rank)
-    tile_order: List[TileIndex] = []
-
-    state = ce.make_run_state(
-        params, None if wavefront else ctx.kernel, ctx.resolved,
-        ctx.record_values,
-    )
-    run: Optional[WavefrontRun] = None
-    if wavefront:
-        run = WavefrontRun(
-            ce.wavefront_engine, graph, params, rank_of=ctx.rank_of,
-            values=state.values, arena=ctx.arena, keep_edges=keep_edges,
-        )
-    kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
-        {} if keep_edges else None
-    )
-    scratch = ctx.arena[0] if (not wavefront and ctx.arena is not None) else None
-    # A wavefront run's same-rank edges travel as retained-interior
-    # slices; every other edge (all of them under keep_edges) is packed.
-    slice_local = wavefront and not keep_edges
-
-    def send_edges(row: int, tile: TileIndex, array: np.ndarray) -> None:
-        """Pack and ship the finished tile's outgoing edges."""
-        for consumer, delta_id, _, dest in sched.outgoing(row):
-            if dest == rank and slice_local:
-                sched.deliver_edge(consumer)
-                continue
-            buffer = state.pack_edge(tile, delta_id, array)
-            if kept_edges is not None:
-                kept_edges[(tile, tile_tuples[consumer])] = buffer
-            if dest == rank:
-                sched.send_edge(row, consumer, buffer, len(buffer))
-                sched.deliver_edge(consumer)
-            else:
-                _post_edge(ctx, row, consumer, buffer)
+    post = partial(_post_edge, ctx)
 
     last_progress = time.monotonic()
     while sched.finished_per_rank[rank] < my_total:
         progress = _drain_inbox(ctx, sched)
-
-        if wavefront:
-            rows = sched.start_batch(rank)
-            if rows:
-                progress = True
-                batch = run.execute_batch(
-                    rows, packed=sched.take_front_edges(rows, keep_edges)
-                )
-                for b, row in enumerate(rows):
-                    tile = tile_tuples[row]
-                    tile_order.append(tile)
-                    state.note_objective(tile, batch[b])
-                    send_edges(row, tile, batch[b])
-                    sched.finish_tile(row)
-        else:
-            row = sched.start_tile(rank)
-            if row is not None:
-                progress = True
-                tile = tile_tuples[row]
-                tile_order.append(tile)
-                if scratch is not None:
-                    array = scratch
-                    array.fill(np.nan)
-                else:
-                    array = np.full(
-                        layout.padded_shape, np.nan, dtype=np.float64
-                    )
-                for producer, delta_id, buffer in sched.consume_edges(row):
-                    state.unpack_edge(
-                        tile_tuples[producer], delta_id, buffer, array
-                    )
-                state.execute_tile(tile, array)
-                send_edges(row, tile, array)
-                sched.finish_tile(row)
-
+        if state.turn(rank, post):
+            progress = True
         if progress:
             last_progress = time.monotonic()
         else:
             _idle_wait(ctx, rank, last_progress)
 
     sched.verify_rank_drained(rank)
-    if wavefront:
-        run.verify_drained()
-        state.cells_computed = run.cells
-    return {
-        "objective_value": state.objective_value,
-        "cells": state.cells_computed,
-        "tiles": sched.finished_per_rank[rank],
-        "tile_order": tile_order,
-        "memory": sched.trackers[rank].snapshot(),
-        "cross_rank_messages": sched.cross_rank_messages,
-        "cross_rank_cells": sched.cross_rank_cells,
-        "values": state.values,
-        "events": sched.events,
-        "edges": kept_edges,
-    }
+    return state.payload()
 
 
 def _worker_main(rank: int, ctx: _WorkerContext) -> None:
@@ -608,8 +505,6 @@ def run_spmd_process(
     module docstring for the two result-shape deviations
     (``tile_order`` grouping and aggregate ``memory``).
     """
-    if ranks < 1:
-        raise RuntimeExecutionError(f"rank count must be >= 1, got {ranks}")
     if "fork" not in multiprocessing.get_all_start_methods():
         raise RuntimeExecutionError(
             "the process SPMD backend needs the POSIX 'fork' start "
@@ -617,18 +512,9 @@ def run_spmd_process(
             "write); use backend='inline' on this platform"
         )
     mp_ctx = multiprocessing.get_context("fork")
-
-    ce = compiled_executor(program)
-    resolved = ce.resolve_mode(mode, kernel)
-    params = dict(params)
-    if graph is None:
-        graph = tile_graph(program, params)
-    if rank_of is None:
-        rank_of = spmd_rank_assignment(
-            program, params, graph, ranks, lb_method=lb_method
-        )
-    else:
-        rank_of = validate_rank_of(rank_of, graph, ranks)
+    ce, resolved, params, graph, rank_of, caps = resolve_run(
+        program, params, ranks, kernel, graph, mode, lb_method, rank_of
+    )
     rank_list = [int(r) for r in rank_of]
 
     # Touch every shared compiled artifact *before* forking so workers
@@ -650,7 +536,6 @@ def run_spmd_process(
 
     channel_cells, slots = cross_edge_slots(graph, rank_of)
     padded_shape = tuple(program.layout.padded_shape)
-    caps = arena_capacities(graph, rank_of, ranks, resolved)
     expected_in_all: Dict[int, Dict[int, int]] = {r: {} for r in range(ranks)}
     for (src, dst) in channel_cells:
         expected_in_all[dst][src] = 0
@@ -683,9 +568,6 @@ def run_spmd_process(
             recv_end, send_end = mp_ctx.Pipe(duplex=False)
             result_conns[r] = recv_end
 
-            cap = caps[r]
-            arena = pool.allocate((cap,) + padded_shape) if cap else None
-
             ctx = _WorkerContext(
                 program=program,
                 graph=graph,
@@ -703,7 +585,7 @@ def run_spmd_process(
                 in_conns=in_conns[r],
                 out_conns=out_conns[r],
                 result_conn=send_end,
-                arena=arena,
+                arena=pool.allocate((caps[r],) + padded_shape),
                 timeout=timeout,
                 parent_pid=os.getpid(),
                 expected_in=expected_in_all[r],
@@ -752,90 +634,13 @@ def run_spmd_process(
                 pass
         pool.release()
 
-    return _merge_payloads(
-        program, params, graph, ranks, resolved, payloads,
-        record_values, record_events, keep_edges, len(slots),
-        schedule=schedule,
-    )
-
-
-def _merge_payloads(
-    program: GeneratedProgram,
-    params: Dict[str, int],
-    graph: TileGraph,
-    ranks: int,
-    resolved: str,
-    payloads: Dict[int, Dict[str, object]],
-    record_values: bool,
-    record_events: bool,
-    keep_edges: bool,
-    n_cross_edges: int,
-    schedule: str = "dynamic",
-) -> ExecutionResult:
-    """Fold per-rank payloads into one :class:`ExecutionResult`."""
-    cells = sum(p["cells"] for p in payloads.values())
-    if cells != graph.total_work():
-        raise RuntimeExecutionError(
-            f"workers computed {cells} cells but the graph holds "
-            f"{graph.total_work()} points"
-        )
     messages = sum(p["cross_rank_messages"] for p in payloads.values())
-    if messages != n_cross_edges:
+    if messages != len(slots):
         raise RuntimeExecutionError(
             f"{messages} cross-rank messages were received but the "
-            f"rank assignment cuts {n_cross_edges} edges"
+            f"rank assignment cuts {len(slots)} edges"
         )
-
-    objective_value: Optional[float] = None
-    for r in sorted(payloads):
-        v = payloads[r]["objective_value"]
-        if v is not None:
-            objective_value = v
-            break
-
-    tile_order: List[TileIndex] = []
-    for r in sorted(payloads):
-        tile_order.extend(payloads[r]["tile_order"])
-
-    values = None
-    if record_values:
-        values = {}
-        for r in sorted(payloads):
-            values.update(payloads[r]["values"])
-
-    events = None
-    if record_events:
-        events = []
-        for r in sorted(payloads):
-            for e in payloads[r]["events"]:
-                events.append(replace(e, seq=len(events)))
-
-    edges = None
-    if keep_edges:
-        edges = {}
-        for r in sorted(payloads):
-            edges.update(payloads[r]["edges"])
-
-    memory_per_rank = [payloads[r]["memory"] for r in sorted(payloads)]
-    return ExecutionResult(
-        objective_point=program.spec.objective(params),
-        objective_value=objective_value,
-        tiles_executed=sum(p["tiles"] for p in payloads.values()),
-        cells_computed=cells,
-        tile_order=tile_order,
-        memory=EdgeMemoryTracker.merge_snapshots(memory_per_rank),
-        values=values,
-        edges=edges,
-        mode=resolved,
-        backend="process",
-        ranks=ranks,
-        memory_per_rank=memory_per_rank,
-        tiles_per_rank=[payloads[r]["tiles"] for r in sorted(payloads)],
-        cross_rank_messages=messages,
-        cross_rank_cells=sum(
-            p["cross_rank_cells"] for p in payloads.values()
-        ),
-        events=events,
-        schedule=schedule,
-        tile_widths=dict(program.spec.tile_widths),
+    return merge_payloads(
+        program, params, graph, resolved, ranks, "process", schedule,
+        [payloads[r] for r in sorted(payloads)],
     )

@@ -1,12 +1,16 @@
-"""Multi-rank SPMD execution harness (paper Sections V–VI, end to end).
+"""The inline SPMD transport, and what both transports share (paper
+Sections V–VI, end to end).
 
-``execute(..., ranks=P)`` runs the *whole* generated pipeline the way
-the emitted hybrid C program would on an MPI cluster, entirely
-in-process: the load balancer's Ehrhart-balanced assignment partitions
-the tiles into P ranks, each rank drives its own priority-ordered
-schedule against its own edge buffers, and every edge that crosses a
-rank boundary travels through an explicit in-memory message queue whose
-send/recv ordering mirrors the generated C's MPI protocol:
+Every ``execute(...)`` lands in :func:`run_spmd`.  It runs the *whole*
+generated pipeline the way the emitted hybrid C program would on an MPI
+cluster, entirely in-process: the load balancer's Ehrhart-balanced
+assignment partitions the tiles into P ranks, the ranks take turns
+round-robin through the one scheduling loop body
+(:meth:`repro.runtime.executor._RunState.turn` — one tile per turn, or
+one ready front when the run resolved to ``wavefront``) against one
+shared scheduler, and every edge that crosses a rank boundary travels
+through an explicit in-memory message queue whose send/recv ordering
+mirrors the generated C's MPI protocol:
 
 * **send** — at tile completion the producer rank packs each outgoing
   edge and posts cross-rank edges to the per-``(src, dst)`` FIFO
@@ -20,14 +24,23 @@ send/recv ordering mirrors the generated C's MPI protocol:
   pending counter only at *recv*, while local edges decrement at pack
   time, exactly like the generated program.
 
-Ranks are interleaved deterministically (round-robin, one tile per
-turn), so the transition-event trace is reproducible byte for byte.
-Because every tile's numerics depend only on its unpacked ghost cells —
-never on global scheduling order — the objective value and every
-recorded cell are bit-identical to the single-rank executor; this
-harness is the first end-to-end numerical validation of the
-load-balance + packing + priority pipeline, and tests pin
-``execute(..., ranks=P)`` against ``ranks=1`` exactly.
+This module owns those two functions (``drain_inbox`` and ``post``,
+closures of :func:`run_spmd` over its FIFO deques), the round-robin
+loop with its deadlock check, and each rank's heap working arena.  A
+plain single-rank run is ``ranks=1`` of exactly this: no channel
+exists, so neither function is ever reached.  It also owns what the
+process transport (:mod:`repro.runtime.parallel`) needs identically
+before its first turn — the rank assignment
+(:func:`spmd_rank_assignment`, :func:`validate_rank_of`), the arena
+sizing rule (:func:`arena_capacities`) and :func:`resolve_run`, which
+settles engine, graph and partition and rejects a bad rank count.
+
+The interleaving is deterministic, so the transition-event trace is
+reproducible byte for byte.  Because every tile's numerics depend only
+on its unpacked ghost cells — never on global scheduling order — the
+objective value and every recorded cell are bit-identical at every rank
+count, and tests pin ``execute(..., ranks=P)`` against ``ranks=1``
+exactly.
 """
 
 from __future__ import annotations
@@ -40,12 +53,16 @@ import numpy as np
 from ..errors import RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
 from ..spec import Kernel
-from .executor import ExecutionResult, compiled_executor
-from .fastpath import WavefrontRun
-from .graph import TileGraph, TileIndex, tile_graph
-from .scheduler import TileScheduler, rank_of_rows
+from .executor import ExecutionResult, compiled_executor, merge_payloads
+from .graph import TileGraph, tile_graph
+from .scheduler import rank_of_rows
 
-__all__ = ["run_spmd", "spmd_rank_assignment", "validate_rank_of"]
+__all__ = [
+    "run_spmd",
+    "spmd_rank_assignment",
+    "validate_rank_of",
+    "arena_capacities",
+]
 
 #: The two transports a multi-rank run can use: ``inline`` interleaves
 #: ranks cooperatively in this thread (deterministic, the oracle);
@@ -112,6 +129,69 @@ def spmd_rank_assignment(
     return rank_of_rows(graph, balance)
 
 
+def arena_capacities(
+    graph: TileGraph,
+    rank_of: np.ndarray,
+    ranks: int,
+    resolved: str = "wavefront",
+) -> List[int]:
+    """Per-rank working-buffer plane counts — the one sizing rule of
+    every transport.
+
+    A wavefront rank evaluates whole fronts into its arena, so the
+    arena needs one padded plane per tile of the rank's *widest* static
+    wavefront level — fewer planes means two tiles of one batch would
+    alias the same plane (a write-write overlap the static analyzer
+    flags as ``RPR052``).  Per-tile engines reuse a single scratch
+    plane; a rank that owns no tiles needs none.
+    """
+    rank_arr = np.asarray(rank_of, dtype=np.int64)
+    caps: List[int] = []
+    if resolved == "wavefront":
+        levels = graph.wavefront_levels()
+        for r in range(ranks):
+            mine = levels[rank_arr == r]
+            caps.append(int(np.bincount(mine).max()) if mine.size else 0)
+    else:
+        for r in range(ranks):
+            caps.append(1 if int((rank_arr == r).sum()) else 0)
+    return caps
+
+
+def resolve_run(
+    program: GeneratedProgram,
+    params: Mapping[str, int],
+    ranks: int,
+    kernel: Optional[Kernel],
+    graph: Optional[TileGraph],
+    mode: str,
+    lb_method: str,
+    rank_of: Optional[np.ndarray],
+):
+    """What every transport settles before its first turn.
+
+    Returns ``(compiled executor, resolved mode, params, graph,
+    rank_of, arena plane counts)``; a rank count below 1, an engine the
+    program cannot run and a malformed *rank_of* all fail here, before
+    any scheduling state (or worker process) exists.
+    """
+    if ranks < 1:
+        raise RuntimeExecutionError(f"rank count must be >= 1, got {ranks}")
+    ce = compiled_executor(program)
+    resolved = ce.resolve_mode(mode, kernel)
+    params = dict(params)
+    if graph is None:
+        graph = tile_graph(program, params)
+    if rank_of is None:
+        rank_of = spmd_rank_assignment(
+            program, params, graph, ranks, lb_method=lb_method
+        )
+    else:
+        rank_of = validate_rank_of(rank_of, graph, ranks)
+    caps = arena_capacities(graph, rank_of, ranks, resolved)
+    return ce, resolved, params, graph, rank_of, caps
+
+
 def run_spmd(
     program: GeneratedProgram,
     params: Mapping[str, int],
@@ -131,7 +211,9 @@ def run_spmd(
     """Execute the program across *ranks* SPMD ranks.
 
     Same signature surface as :func:`repro.runtime.executor.execute`
-    plus *lb_method* (how tiles are partitioned) and *rank_of* (an
+    (which always lands here; a plain single-rank run is ``ranks=1``
+    over the inline transport, with no channel to drain) plus
+    *lb_method* (how tiles are partitioned) and *rank_of* (an
     explicit per-row rank assignment overriding the load balancer —
     used by tests to probe pathological partitions).  Returns an
     :class:`ExecutionResult` whose per-rank fields
@@ -169,53 +251,22 @@ def run_spmd(
             rank_of=rank_of,
             schedule=schedule,
         )
-    if ranks < 1:
-        raise RuntimeExecutionError(f"rank count must be >= 1, got {ranks}")
-    ce = compiled_executor(program)
-    resolved = ce.resolve_mode(mode, kernel)
-    params = dict(params)
-    if graph is None:
-        graph = tile_graph(program, params)
-    if rank_of is None:
-        rank_of = spmd_rank_assignment(
-            program, params, graph, ranks, lb_method=lb_method
-        )
-    else:
-        rank_of = validate_rank_of(rank_of, graph, ranks)
-    if resolved == "wavefront":
-        return _run_spmd_wavefront(
-            ce,
-            program,
-            params,
-            ranks,
-            graph,
-            rank_of,
-            priority_scheme,
-            record_values,
-            record_events,
-            schedule,
-            keep_edges,
-        )
-
-    layout = program.layout
-
+    ce, resolved, params, graph, rank_of, caps = resolve_run(
+        program, params, ranks, kernel, graph, mode, lb_method, rank_of
+    )
+    padded_shape = tuple(program.layout.padded_shape)
     state = ce.make_run_state(params, kernel, resolved, record_values)
-    sched = TileScheduler(
+    sched = state.begin(
         graph,
-        ranks=ranks,
-        rank_of=rank_of,
-        priority_scheme=priority_scheme,
-        record_events=record_events,
-        schedule=schedule,
+        ranks,
+        rank_of,
+        {r: np.empty((cap,) + padded_shape) for r, cap in enumerate(caps)},
+        priority_scheme,
+        record_events,
+        schedule,
+        keep_edges,
     )
     sched.seed()
-
-    tile_tuples = graph.tile_tuples
-    T = len(tile_tuples)
-    kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
-        {} if keep_edges else None
-    )
-    tile_order: List[TileIndex] = []
 
     # One FIFO channel per (source, destination) rank pair; entries are
     # consumer rows whose edge buffer is already in the scheduler's
@@ -239,39 +290,20 @@ def run_spmd(
                 received = True
         return received
 
+    def post(rank: int, dest: int, row: int, consumer: int, buffer) -> None:
+        """Send one cross-rank edge: buffered (and recorded) here on the
+        producer's side, queued for the destination's next recv."""
+        sched.send_edge(row, consumer, buffer, len(buffer))
+        channels[(rank, dest)].append(consumer)
+
+    T = len(graph.tile_tuples)
     while sched.finished < T:
         progress = False
         for rank in range(ranks):
             if drain_inbox(rank):
                 progress = True
-            row = sched.start_tile(rank)
-            if row is None:
-                continue
-            progress = True
-            tile = tile_tuples[row]
-            tile_order.append(tile)
-            array = np.full(layout.padded_shape, np.nan, dtype=np.float64)
-
-            # Unpack incoming edges into the ghost margins.
-            for producer, delta_id, buffer in sched.consume_edges(row):
-                state.unpack_edge(
-                    tile_tuples[producer], delta_id, buffer, array
-                )
-
-            state.execute_tile(tile, array)
-
-            # Pack outgoing edges: local edges deliver immediately,
-            # cross-rank edges post to the destination's FIFO channel.
-            for consumer, delta_id, _, dest_rank in sched.outgoing(row):
-                buffer = state.pack_edge(tile, delta_id, array)
-                if kept_edges is not None:
-                    kept_edges[(tile, tile_tuples[consumer])] = buffer
-                sched.send_edge(row, consumer, buffer, len(buffer))
-                if dest_rank == rank:
-                    sched.deliver_edge(consumer)
-                else:
-                    channels[(rank, dest_rank)].append(consumer)
-            sched.finish_tile(row)
+            if state.turn(rank, post):
+                progress = True
         if not progress:
             raise RuntimeExecutionError(
                 f"SPMD deadlock: {sched.finished} of {T} tiles ran, no "
@@ -284,175 +316,7 @@ def run_spmd(
             f"{undelivered} cross-rank messages were never received"
         )
     sched.verify_drained()
-    if state.cells_computed != graph.total_work():
-        raise RuntimeExecutionError(
-            f"computed {state.cells_computed} cells but the graph holds "
-            f"{graph.total_work()} points"
-        )
-
-    return ExecutionResult(
-        objective_point=state.objective,
-        objective_value=state.objective_value,
-        tiles_executed=len(tile_order),
-        cells_computed=state.cells_computed,
-        tile_order=tile_order,
-        memory=sched.memory_snapshot(),
-        values=state.values,
-        edges=kept_edges,
-        mode=resolved,
-        ranks=ranks,
-        memory_per_rank=sched.memory_per_rank(),
-        tiles_per_rank=list(sched.finished_per_rank),
-        cross_rank_messages=sched.cross_rank_messages,
-        cross_rank_cells=sched.cross_rank_cells,
-        events=sched.events,
-        schedule=schedule,
-        tile_widths=dict(program.spec.tile_widths),
-    )
-
-
-def _run_spmd_wavefront(
-    ce,
-    program: GeneratedProgram,
-    params: Dict[str, int],
-    ranks: int,
-    graph: TileGraph,
-    rank_of: np.ndarray,
-    priority_scheme: str,
-    record_values: bool,
-    record_events: bool,
-    schedule: str = "dynamic",
-    keep_edges: bool = False,
-) -> ExecutionResult:
-    """The wavefront-fused SPMD driver: each rank drains whole fronts.
-
-    Per scheduling turn a rank receives its inbound messages, pops every
-    ready tile of its lowest static wavefront level
-    (:meth:`~repro.runtime.scheduler.TileScheduler.start_batch`) and
-    evaluates the batch in one fused operation.  Packed edges survive
-    only at rank boundaries — exactly the edges the generated C sends
-    over MPI: incoming cross-rank edges are consumed from the
-    scheduler's store (:meth:`~TileScheduler.take_front_edges`) and unpacked
-    into the batch's ghost margins, outgoing cross-rank edges are packed
-    from the batch and posted to the FIFO channels.  Same-rank edges
-    travel as array slices of retained interiors and are never packed,
-    so edge-memory accounting here covers cross-rank traffic only —
-    unless *keep_edges* is set, when same-rank edges take the packed
-    route too and every edge is retained and accounted.
-    """
-    state = ce.make_run_state(params, None, "wavefront", record_values)
-    sched = TileScheduler(
-        graph,
-        ranks=ranks,
-        rank_of=rank_of,
-        priority_scheme=priority_scheme,
-        record_events=record_events,
-        batch=True,
-        schedule=schedule,
-    )
-    sched.seed()
-    run = WavefrontRun(
-        ce.wavefront_engine,
-        graph,
-        params,
-        rank_of=rank_of,
-        values=state.values,
-        keep_edges=keep_edges,
-    )
-
-    tile_tuples = graph.tile_tuples
-    T = len(tile_tuples)
-    kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
-        {} if keep_edges else None
-    )
-    tile_order: List[TileIndex] = []
-
-    channels: Dict[Tuple[int, int], Deque[int]] = {
-        (src, dst): deque()
-        for src in range(ranks)
-        for dst in range(ranks)
-        if src != dst
-    }
-
-    def drain_inbox(rank: int) -> bool:
-        received = False
-        for src in range(ranks):
-            if src == rank:
-                continue
-            channel = channels[(src, rank)]
-            while channel:
-                sched.deliver_edge(channel.popleft())
-                received = True
-        return received
-
-    while sched.finished < T:
-        progress = False
-        for rank in range(ranks):
-            if drain_inbox(rank):
-                progress = True
-            rows = sched.start_batch(rank)
-            if not rows:
-                continue
-            progress = True
-
-            # The batch's packed incoming edges (cross-rank; all of
-            # them under keep_edges) come out of the store; the rest
-            # ghost-fill from retained interiors inside execute_batch.
-            batch = run.execute_batch(
-                rows, packed=sched.take_front_edges(rows, keep_edges)
-            )
-
-            for b, row in enumerate(rows):
-                tile = tile_tuples[row]
-                tile_order.append(tile)
-                state.note_objective(tile, batch[b])
-                for consumer, delta_id, _, dest_rank in sched.outgoing(row):
-                    if keep_edges or dest_rank != rank:
-                        buffer = state.pack_edge(tile, delta_id, batch[b])
-                        if kept_edges is not None:
-                            kept_edges[(tile, tile_tuples[consumer])] = buffer
-                        sched.send_edge(row, consumer, buffer, len(buffer))
-                    if dest_rank == rank:
-                        sched.deliver_edge(consumer)
-                    else:
-                        channels[(rank, dest_rank)].append(consumer)
-                sched.finish_tile(row)
-        if not progress:
-            raise RuntimeExecutionError(
-                f"SPMD deadlock: {sched.finished} of {T} tiles ran, no "
-                "rank can make progress"
-            )
-
-    undelivered = sum(len(c) for c in channels.values())
-    if undelivered:  # pragma: no cover - implied by finished == T
-        raise RuntimeExecutionError(
-            f"{undelivered} cross-rank messages were never received"
-        )
-    sched.verify_drained()
-    run.verify_drained()
-    state.cells_computed = run.cells
-    if state.cells_computed != graph.total_work():
-        raise RuntimeExecutionError(
-            f"computed {state.cells_computed} cells but the graph holds "
-            f"{graph.total_work()} points"
-        )
-
-    return ExecutionResult(
-        objective_point=state.objective,
-        objective_value=state.objective_value,
-        tiles_executed=len(tile_order),
-        cells_computed=state.cells_computed,
-        tile_order=tile_order,
-        memory=sched.memory_snapshot(),
-        values=state.values,
-        edges=kept_edges,
-        mode="wavefront",
-        ranks=ranks,
-        memory_per_rank=sched.memory_per_rank(),
-        tiles_per_rank=list(sched.finished_per_rank),
-        cross_rank_messages=sched.cross_rank_messages,
-        cross_rank_cells=sched.cross_rank_cells,
-        events=sched.events,
-        schedule=schedule,
-        tile_widths=dict(program.spec.tile_widths),
+    return merge_payloads(
+        program, params, graph, resolved, ranks, "inline", schedule,
+        [state.payload()],
     )

@@ -13,7 +13,13 @@ from repro.problems import (
     two_arm_reference,
     two_arm_spec,
 )
-from repro.runtime import TileGraph, execute, solve_reference
+from repro.runtime import (
+    TileGraph,
+    execute,
+    run_spmd,
+    run_spmd_process,
+    solve_reference,
+)
 
 
 class TestBandit2:
@@ -218,6 +224,19 @@ class TestObjectiveHandling:
 
     def test_edges_not_kept_by_default(self, bandit2_program):
         assert execute(bandit2_program, {"N": 5}).edges is None
+
+
+class TestRankCount:
+    @pytest.mark.parametrize("ranks", [0, -3])
+    @pytest.mark.parametrize("entry", [execute, run_spmd, run_spmd_process])
+    def test_rank_count_below_one_rejected(
+        self, bandit2_program, entry, ranks
+    ):
+        # execute() used to run these as a single rank without a word.
+        with pytest.raises(
+            RuntimeExecutionError, match="rank count must be >= 1"
+        ):
+            entry(bandit2_program, {"N": 5}, ranks=ranks)
 
 
 class TestCompiledArtifactCaching:

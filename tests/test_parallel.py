@@ -24,7 +24,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RuntimeExecutionError
-from repro.runtime import execute, run_spmd, run_spmd_process, tile_graph
+from repro.runtime import (
+    execute,
+    run_spmd,
+    run_spmd_process,
+    solve_reference,
+    tile_graph,
+)
 from repro.simulate import MachineModel, simulate_program
 
 
@@ -145,6 +151,30 @@ class TestProcessParity:
         assert set(proc.edges) == set(inline.edges)
         for key, buf in inline.edges.items():
             assert np.array_equal(proc.edges[key], buf)
+
+    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
+    @pytest.mark.parametrize("mode", ["interpret", "vector"])
+    def test_per_tile_scratch_plane_keeps_its_edges(
+        self, bandit2_program, mode, schedule
+    ):
+        # A per-tile rank evaluates every tile in one reused scratch
+        # plane while its same-rank edges sit buffered in the scheduler
+        # and its retained edges in the result: both must be copies.
+        kwargs = dict(
+            ranks=2, mode=mode, schedule=schedule, record_values=True,
+            keep_edges=True,
+        )
+        inline = execute(bandit2_program, {"N": 7}, **kwargs)
+        proc = execute(
+            bandit2_program, {"N": 7}, backend="process", **kwargs
+        )
+        _assert_same_run(proc, inline)
+        assert proc.values == solve_reference(
+            bandit2_program, {"N": 7}, record_values=True
+        ).values
+        assert sorted(proc.edges) == sorted(inline.edges)
+        for key, buf in inline.edges.items():
+            assert proc.edges[key].tobytes() == buf.tobytes()
 
     @pytest.mark.parametrize("schedule", ["dynamic", "static"])
     @pytest.mark.parametrize("ranks", [1, 2])
