@@ -24,7 +24,6 @@ from .executor import (
 )
 from .fastpath import (
     VectorTileEngine,
-    WavefrontEngine,
     WavefrontRun,
     vector_unsupported_reason,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "execute",
     "solve_reference",
     "VectorTileEngine",
-    "WavefrontEngine",
     "WavefrontRun",
     "vector_unsupported_reason",
     "run_spmd",

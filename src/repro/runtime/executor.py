@@ -22,29 +22,29 @@ is ``ranks=1`` over the inline transport.  Who owns what:
   tile order;
 * :class:`CompiledExecutor` — per program, cached: every loop-invariant
   compiled artifact (local-space scanner, validity-check closures, the
-  array engines) and the ``mode`` dispatch, so repeated runs
+  array engine) and the ``mode`` dispatch, so repeated runs
   (benchmarks, calibration sweeps) stop re-deriving them;
 * :func:`execute` — the entry point: tile-width override, ``schedule=
   "auto"`` tuning, then :func:`repro.runtime.spmd.run_spmd`;
 * :func:`merge_payloads` — the one place a driver
   :class:`ExecutionResult` is built, for both transports.
 
-Three center-loop engines share the turn:
+Two evaluators share the turn:
 
 * the **interpreter** evaluates the scalar Python kernel point by point
-  (slow, obviously correct),
-* the per-tile **vector** engine (:mod:`repro.runtime.fastpath`)
-  evaluates whole anti-diagonal wavefronts of one tile with numpy array
-  expressions when the spec carries a vector kernel, and
-* the **wavefront** engine evaluates a rank's whole ready front as one
-  batch.
+  (slow, obviously correct), and
+* the **array engine** (:mod:`repro.runtime.fastpath`) evaluates whole
+  intra-tile levels with one vector-kernel call each when the spec
+  carries a vector kernel — dispatched a rank's whole ready front at a
+  time (``"wavefront"``) or, through the same ``turn`` branch the
+  interpreter takes, one tile at a time (``"vector"``).
 
-``execute(..., mode=...)`` selects the engine: ``"auto"`` (default)
-uses the fastest one the program supports and falls back to the
-interpreter otherwise; the other values force one engine (and raise
-when it is unsupported).  Edges follow the engine: the interpreter packs
-and unpacks through the generated
-:class:`~repro.generator.packing.PackPlan` scans, the array engines
+``execute(..., mode=...)`` selects among them: ``"auto"`` (default)
+runs the array engine front at a time when the program supports it and
+the interpreter otherwise; the other values force one (and raise when it
+is unsupported).  Edges follow the evaluator: the interpreter packs and
+unpacks through the generated
+:class:`~repro.generator.packing.PackPlan` scans, the array engine
 through array slices of the same face slabs (byte-identical buffers).
 
 Every numerical result is produced here by actually evaluating the
@@ -65,7 +65,6 @@ from ..polyhedra.compile import compile_scanner
 from ..spec import Kernel
 from .fastpath import (
     VectorTileEngine,
-    WavefrontEngine,
     WavefrontRun,
     vector_unsupported_reason,
 )
@@ -91,8 +90,9 @@ class ExecutionResult:
     #: (producer, consumer) — the raw material of solution recovery
     #: (paper Section VII-A).
     edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = None
-    #: Which center-loop engine produced the numbers: "interpret",
-    #: "vector" or "wavefront" (``keep_edges`` does not change it).
+    #: What produced the numbers: "interpret", or the array engine
+    #: dispatched per tile ("vector") or per front ("wavefront");
+    #: ``keep_edges`` does not change it.
     mode: str = "interpret"
     #: Which SPMD transport ran the ranks: "inline" (cooperative,
     #: single-thread — also the value for plain single-rank runs) or
@@ -145,7 +145,7 @@ def _compile_constraints(constraints):
     for c in constraints:
         # Integral coefficients stay plain ints (the fast common case);
         # rational coefficients keep their exact Fraction so the
-        # interpreter still evaluates the check correctly — the vector
+        # interpreter still evaluates the check correctly — the array
         # engine rejects such programs at construction and auto mode
         # falls back here.
         items = [
@@ -173,7 +173,7 @@ class _RunState:
     record, the interpreter's reused per-point environments,
     :meth:`execute_tile` and the edge transport
     :meth:`pack_edge`/:meth:`unpack_edge` (array slices for the array
-    engines, the generated :class:`~repro.generator.packing.PackPlan`
+    engine, the generated :class:`~repro.generator.packing.PackPlan`
     scans for the interpreter) — is all solution recovery needs.  A
     driver additionally calls :meth:`begin`, after which the state owns
     the run's :class:`~repro.runtime.scheduler.TileScheduler`, one
@@ -239,8 +239,8 @@ class _RunState:
         *arenas* maps every rank this state takes turns for to its
         ``(planes, *padded_shape)`` float64 working buffer, sized by
         :func:`repro.runtime.spmd.arena_capacities` — the widest front
-        for a wavefront run, one scratch plane reused by every tile for
-        the per-tile engines.  The transport decides where it lives:
+        for a wavefront run, one scratch plane reused by every tile
+        under per-tile dispatch.  The transport decides where it lives:
         heap for the inline one, shared memory for the process one.
         """
         wavefront = self.resolved == "wavefront"
@@ -258,7 +258,7 @@ class _RunState:
         if wavefront:
             self.runs = {
                 rank: WavefrontRun(
-                    self.ce.wavefront_engine, graph, self.params,
+                    self.engine, graph, self.params,
                     rank_of=rank_of, values=self.values, arena=arena,
                     keep_edges=keep_edges,
                 )
@@ -476,7 +476,7 @@ class CompiledExecutor:
     """Per-program cache of every loop-invariant execution artifact.
 
     Construction compiles the local-space scanner and the validity-check
-    closures exactly once; the vectorized engine is built lazily on the
+    closures exactly once; the array engine is built lazily on the
     first run that can use it.  One instance is cached on the program
     (see :func:`compiled_executor`), so benchmarks and calibration that
     execute the same program repeatedly pay the derivation cost once.
@@ -504,9 +504,6 @@ class CompiledExecutor:
         self._vector_engine: Optional[VectorTileEngine] = None
         self._vector_reason: Optional[str] = None
         self._vector_probed = False
-        self._wavefront_engine: Optional[WavefrontEngine] = None
-        self._wavefront_reason: Optional[str] = None
-        self._wavefront_probed = False
 
     # -- public compiled artifacts --------------------------------------------
 
@@ -533,7 +530,7 @@ class CompiledExecutor:
 
     @property
     def vector_engine(self) -> Optional[VectorTileEngine]:
-        """The vectorized engine, or None with ``vector_reason`` set.
+        """The array engine, or None with ``vector_reason`` set.
 
         Engine *construction* failures (e.g. non-integral check
         constraints the interval analysis cannot split) fold into the
@@ -542,60 +539,33 @@ class CompiledExecutor:
         """
         if not self._vector_probed:
             self._vector_probed = True
-            reason = vector_unsupported_reason(self.program)
-            if reason is None:
+            self._vector_reason = vector_unsupported_reason(self.program)
+            if self._vector_reason is None:
                 try:
                     self._vector_engine = VectorTileEngine(self.program)
                 except RuntimeExecutionError as exc:
                     self._vector_reason = (
-                        f"vector engine construction failed: {exc}"
+                        f"array engine construction failed: {exc}"
                     )
-            else:
-                self._vector_reason = reason
         return self._vector_engine
+
+    #: The same engine under the name benchmarks/suite reads.
+    wavefront_engine = vector_engine
 
     @property
     def vector_reason(self) -> Optional[str]:
         self.vector_engine  # noqa: B018 - force the probe
         return self._vector_reason
 
-    @property
-    def wavefront_engine(self) -> Optional[WavefrontEngine]:
-        """The wavefront-fused batch engine, or None with a reason set.
-
-        Requires the per-tile vector engine (same support condition);
-        shares its compiled artifacts.
-        """
-        if not self._wavefront_probed:
-            self._wavefront_probed = True
-            if self.vector_engine is None:
-                self._wavefront_reason = self._vector_reason
-            else:
-                try:
-                    self._wavefront_engine = WavefrontEngine(
-                        self.program, tile_engine=self.vector_engine
-                    )
-                except RuntimeExecutionError as exc:
-                    self._wavefront_reason = (
-                        f"wavefront engine construction failed: {exc}"
-                    )
-        return self._wavefront_engine
-
-    @property
-    def wavefront_reason(self) -> Optional[str]:
-        self.wavefront_engine  # noqa: B018 - force the probe
-        return self._wavefront_reason
-
     def resolve_mode(self, mode: str, kernel: Optional[Kernel]) -> str:
-        """Dispatch ``auto``/``interpret``/``vector``/``wavefront`` to a
-        concrete engine.
+        """Dispatch ``auto``/``interpret``/``vector``/``wavefront`` to an
+        evaluator and its dispatch granularity.
 
-        Auto prefers the wavefront-fused batch path, stepping down to
-        the per-tile vector engine when only the batch engine failed to
-        build and to the interpreter when the program has no vector
+        Auto runs the array engine front at a time (``"wavefront"``)
+        and steps down to the interpreter when the program has no vector
         kernel, a custom scalar kernel, or engine construction failed.
         Forced modes raise instead of degrading.  ``keep_edges`` plays
-        no part: every engine can retain its packed edges.
+        no part: every mode can retain its packed edges.
         """
         if mode not in EXECUTION_MODES:
             raise RuntimeExecutionError(
@@ -604,36 +574,20 @@ class CompiledExecutor:
             )
         if mode == "interpret":
             return "interpret"
-        custom_kernel = kernel is not None and kernel is not self.spec.kernel
-        if custom_kernel:
-            if mode in ("vector", "wavefront"):
+        if kernel is not None and kernel is not self.spec.kernel:
+            if mode != "auto":
                 raise RuntimeExecutionError(
                     f"{mode} mode cannot run a custom scalar kernel; pass "
                     "mode='interpret' or a spec with a matching vector_kernel"
                 )
             return "interpret"
         if self.vector_engine is None:
-            if mode == "vector":
+            if mode != "auto":
                 raise RuntimeExecutionError(
-                    f"vector mode unavailable: {self._vector_reason}"
-                )
-            if mode == "wavefront":
-                raise RuntimeExecutionError(
-                    f"wavefront mode unavailable: {self._vector_reason}"
+                    f"{mode} mode unavailable: {self._vector_reason}"
                 )
             return "interpret"
-        if mode == "vector":
-            return "vector"
-        if mode == "wavefront":
-            if self.wavefront_engine is None:
-                raise RuntimeExecutionError(
-                    f"wavefront mode unavailable: {self._wavefront_reason}"
-                )
-            return "wavefront"
-        # auto
-        if self.wavefront_engine is None:
-            return "vector"
-        return "wavefront"
+        return "vector" if mode == "vector" else "wavefront"
 
     def make_run_state(
         self,
@@ -642,7 +596,7 @@ class CompiledExecutor:
         resolved: str,
         record_values: bool,
     ) -> _RunState:
-        """The per-run state for one resolved engine (see
+        """The per-run state for one resolved mode (see
         :class:`_RunState`): recovery recomputes tiles through its
         ``unpack_edge``/``execute_tile``; a transport calls ``begin``
         and then takes every rank's turns through ``turn``."""
@@ -695,16 +649,20 @@ def execute(
     of the O(n^d) full space — enabling solution recovery by on-the-fly
     tile recomputation (paper Section VII-A; see
     :class:`repro.runtime.recover.SolutionRecovery`); it works under
-    every engine and does not change which one runs.  *mode* selects
-    the center-loop engine: ``"auto"`` (wavefront-fused batch execution
-    when the spec has a vector kernel and no custom *kernel* is given,
-    the interpreter otherwise), ``"interpret"``, ``"vector"``, or
-    ``"wavefront"`` (forced modes raise when the engine cannot run this
-    program).  *ranks* > 1 partitions the tiles
-    with the load balancer (*lb_method*) — same numbers, plus per-rank
-    accounting and cross-rank message counts; the default single rank
-    is the same loop with nothing to exchange.  *record_events* returns
-    the scheduler's transition trace in ``ExecutionResult.events``.
+    every mode and does not change which one runs.  *mode* selects the
+    evaluator and how it is dispatched: ``"auto"`` (``"wavefront"`` when
+    the spec has a vector kernel and no custom *kernel* is given, the
+    interpreter otherwise), ``"interpret"`` (the scalar kernel, cell by
+    cell), ``"wavefront"`` (the array evaluator over a rank's whole
+    ready front), or ``"vector"`` (the array evaluator dispatched tile
+    at a time: 3.5-9.5x slower than ``wavefront`` on the suite
+    instances; kept for trace parity with the interpreter).  Forced
+    modes raise when this program cannot run them.  *ranks* > 1
+    partitions the tiles with the load balancer (*lb_method*) — same
+    numbers, plus per-rank accounting and cross-rank message counts; the
+    default single rank is the same loop with nothing to exchange.
+    *record_events* returns the scheduler's transition trace in
+    ``ExecutionResult.events``.
     *backend* selects the multi-rank transport: ``"inline"`` (default — ranks interleaved cooperatively
     in this thread, the deterministic oracle) or ``"process"`` (one OS
     worker process per rank over ``multiprocessing.shared_memory``

@@ -1,40 +1,66 @@
-"""Vectorized tile execution: the executor's fast path.
+"""The array engine: the executor's fast path.
 
 The interpreter in :mod:`repro.runtime.executor` evaluates a tile
 cell-by-cell — per-point dict construction plus a Python-level kernel
 call — which is the single hottest path of the whole system.  For specs
 that carry a :data:`~repro.spec.VectorKernel` (an array-level twin of the
-scalar kernel) this module executes the *entire tile* with whole-array
-numpy operations instead:
+scalar kernel) this module is the runtime's second, and only other,
+evaluator: a **masked lane gather** over any number of mutually
+independent tiles, dispatched one tile at a time
+(:meth:`VectorTileEngine.execute_tile`: ``mode="vector"`` and solution
+recovery) or one ready front at a time
+(:meth:`WavefrontRun.execute_batch`: ``mode="wavefront"``).
 
-1. **Validity masks** — every ``is_valid_r*`` check is a linear
-   inequality over the global coordinates.  Its value over the tile's
-   local box splits into a tile-invariant array part (precomputed once
-   per program) plus a per-tile scalar base, so each check becomes one
-   broadcast comparison — and interval analysis (min/max of the array
-   part) collapses most checks to a scalar ``True``/``False`` per tile.
+1. **Validity masks** — every in-space constraint and ``is_valid_r*``
+   check is a linear inequality over the global coordinates.  Its value
+   over a tile's local box splits into a tile-invariant array part
+   (precomputed once per program) plus a per-tile scalar base.  Interval
+   analysis runs batched: one integer matmul yields the base of every
+   part for every tile; a part that is uniform over a tile's box (the
+   min/max of its array part decides) stays a per-tile scalar, and only
+   the mixed (tile, part) pairs are compared against the box
+   (``lin >= -base``), giving the in-space mask and one validity mask
+   per template.
 
-2. **Wavefront evaluation** — cells are grouped by the level function
-   ``level(i) = sum_k dir_k * i_k`` (the anti-diagonal level sets of the
-   local box under the spec's scan directions).  Every template vector
-   strictly decreases the level (checked at construction; programs where
-   some template does not are unsupported and fall back to the
-   interpreter), so within one level no cell depends on another and the
-   whole level is evaluated with one vector-kernel call.  Dependency
-   values are whole-array *views* of the padded ghost array shifted by
-   the template vector — no gather logic beyond numpy fancy indexing.
+2. **Lane gather by level** — box cells are grouped by the level
+   function ``level(i) = sum_k dir_k * i_k`` (the anti-diagonal level
+   sets of the local box under the spec's scan directions).  Every
+   template vector strictly decreases the level (checked at
+   construction; programs where some template does not are unsupported
+   and fall back to the interpreter), so within one level no cell
+   depends on another: the in-space cells of *all* tiles at hand are
+   gathered through precomputed flat offsets into the padded array (one
+   interior offset per box cell, one integer shift per template), handed
+   to the vector kernel in one call, and scattered back in place.
+   Ragged boundary tiles are lanes of the same calls as full ones;
+   out-of-space interior cells are never written and stay NaN.  At most
+   :data:`CELL_BUDGET` box cells are evaluated per sub-batch, which
+   bounds the masks and index arrays however wide a front is.
 
 3. **Edges are array slices** — a packed edge is the producer's
    static face slab selected by its in-space mask
    (:meth:`VectorTileEngine.pack_edge` / :meth:`~VectorTileEngine.unpack_edge`),
    byte for byte the buffer :class:`~repro.generator.packing.PackPlan`
-   scans cell by cell; the edge protocol, memory accounting and tile
-   ordering are those of the interpreter.
+   scans cell by cell.  Within one rank of a front-at-a-time run an
+   edge is not packed at all: the consumer's ghost margin is filled by
+   slicing the producer's retained interior (the same slab, the same
+   window).  Packed edges survive at rank boundaries (SPMD) — exactly
+   the edges the generated C sends over MPI — and, under
+   ``keep_edges``, everywhere.
 
-The engine is bit-identical to the interpreter: vector kernels apply the
-same IEEE operations in the same order, and the cross-check suite
-(tests/test_fastpath.py) pins every bundled problem to the interpreter
-and to ``solve_reference`` exactly.
+Who owns what: :class:`VectorTileEngine` everything derived once per
+program, :class:`LaneGather` the evaluation and what it needs per run
+(engine, parameters, the optional ``values`` record — no graph, no
+scheduler), :class:`WavefrontRun` what a front-at-a-time run adds (the
+batch arena, retained interiors and their refcounts).
+
+The engine is bit-identical to the interpreter: vector kernels are
+lane-wise and apply the same IEEE operations in the same order, so
+gathering the cells of one tile or of many into a lane array feeds every
+cell the same dependency values.  The cross-check suites
+(tests/test_fastpath.py, tests/test_wavefront.py) pin every bundled
+problem, under both dispatch granularities, to the interpreter and to
+``solve_reference`` exactly.
 """
 
 from __future__ import annotations
@@ -49,14 +75,13 @@ from ..polyhedra import Constraint
 
 __all__ = [
     "VectorTileEngine",
-    "WavefrontEngine",
     "WavefrontRun",
     "vector_unsupported_reason",
 ]
 
 
-# Box cells (tiles x cells per box) the wavefront engine evaluates per
-# sub-batch of a front: bounds its masks and per-lane index arrays.
+# Box cells (tiles x cells per box) evaluated per sub-batch of a front:
+# bounds the masks and per-lane index arrays.
 CELL_BUDGET = 1 << 17
 
 
@@ -133,12 +158,14 @@ def _affine_parts(
 
 
 class VectorTileEngine:
-    """Executes one tile's local iteration space with numpy wavefronts.
+    """Everything the array engine derives once per program.
 
-    All loop-invariant artifacts — coordinate grids, the level function,
-    the full-box wavefront partition, per-check array parts and the
-    per-template shifted views — are derived once at construction and
-    shared by every tile of every run of the program.
+    Slab geometry (the interior of a padded array, the per-delta face
+    slabs and ghost windows), the array pack/unpack over it, the affine
+    parts of every in-space constraint and validity check, and the
+    lane-gather tables of :class:`LaneGather` — shared by every tile of
+    every run of the program.  Nothing here depends on the run's
+    parameters; what does lives in :class:`LaneGather`.
     """
 
     def __init__(self, program: GeneratedProgram):
@@ -148,32 +175,27 @@ class VectorTileEngine:
                 f"vectorized execution unsupported: {reason}"
             )
         spec = program.spec
+        layout = program.layout
         self.program = program
         self.spec = spec
-        self.layout = program.layout
+        self.layout = layout
         self.loop_vars = spec.loop_vars
         self.widths = spec.tile_width_vector()
+        self.padded_shape = tuple(layout.padded_shape)
+        # Read per kernel call, never cached: tracers wrap this
+        # attribute from outside.
         self.vector_kernel = spec.vector_kernel
-
-        layout = self.layout
+        self.deltas = list(program.deltas)
         self.interior_slices = tuple(
             slice(lo, lo + w) for lo, w in zip(layout.ghost_lo, self.widths)
         )
-        # Per template: the shifted box view of the padded array whose
-        # element [i] is the dependency value of interior cell i.
-        self.template_slices: Dict[str, Tuple[slice, ...]] = {}
-        for name, vec in spec.templates.items():
-            self.template_slices[name] = tuple(
-                slice(lo + r, lo + r + w)
-                for lo, r, w in zip(layout.ghost_lo, vec, self.widths)
-            )
 
         # Edge geometry per delta (producer = consumer + delta): the
         # producer-interior face slab a neighbour can see, and the
         # window of the consumer's padded array it lands in.  With
         # ``i_consumer = i_producer + w_k * delta_k`` both are static.
         self.fill_slices: Dict[tuple, Tuple[tuple, tuple]] = {}
-        for delta in program.deltas:
+        for delta in self.deltas:
             src: List[slice] = []
             dst: List[slice] = []
             for d, w, lo, hi in zip(
@@ -184,37 +206,74 @@ class VectorTileEngine:
                 src.append(slice(p_lo, p_hi))
                 dst.append(slice(p_lo + d * w + lo, p_hi + d * w + lo))
             self.fill_slices[delta] = (tuple(src), tuple(dst))
+        # The same pairs by delta id, as the graph's CSR names them.
+        self._fills = [self.fill_slices[delta] for delta in self.deltas]
 
-        # Local-coordinate grids and the wavefront level function.
+        # Affine data for the in-space constraints and the validity
+        # checks, stacked into one (d, P) tile-coefficient matrix so a
+        # single integer matmul yields the per-tile scalar base of every
+        # part for a whole batch.
+        ndim = len(self.loop_vars)
         grids = np.indices(self.widths)
-        self._grids = grids
-        directions = spec.scan_directions()
-        self._dirs = tuple(directions[x] for x in self.loop_vars)
-        levels = np.zeros(self.widths, dtype=np.int64)
-        for k, d in enumerate(self._dirs):
-            levels += d * grids[k]
-        flat = levels.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        cuts = np.flatnonzero(np.diff(flat[order])) + 1
-        self._full_groups: List[np.ndarray] = np.split(order, cuts)
-        self._full_wavefronts = [
-            np.unravel_index(g, self.widths) for g in self._full_groups
-        ]
-        self._full_cells = int(np.prod(self.widths))
-
-        # Affine data for the in-space constraints and the validity checks.
         self._space_parts = [
             _affine_parts(c, self.loop_vars, self.widths, grids)
             for c in spec.constraints
         ]
-        self._check_parts = [
+        self._parts = self._space_parts + [
             _affine_parts(c, self.loop_vars, self.widths, grids)
             for c in program.validity.checks
         ]
-        self.per_template = {
-            name: tuple(ids)
-            for name, ids in program.validity.per_template.items()
-        }
+        self._coef = np.array(
+            [p["tile_coefs"] for p in self._parts], dtype=np.int64
+        ).reshape(-1, ndim).T
+        # Mask planes each part constrains: 0 is the in-space mask,
+        # 1 + t the validity of template t.
+        self._templates = list(spec.templates.names())
+        per_template = program.validity.per_template
+        self._part_planes: List[List[int]] = [
+            [0] for _ in self._space_parts
+        ] + [
+            [
+                1 + t
+                for t, name in enumerate(self._templates)
+                if idx in per_template[name]
+            ]
+            for idx in range(len(program.validity.checks))
+        ]
+
+        # Lane-gather geometry.  Box cells are kept in intra-tile level
+        # order (the level function's stable argsort), so the lanes of
+        # one level are one contiguous run of any level-ordered lane
+        # array.
+        directions = spec.scan_directions()
+        levels = np.zeros(self.widths, dtype=np.int64)
+        for k, x in enumerate(self.loop_vars):
+            levels += directions[x] * grids[k]
+        levels = levels.reshape(-1)
+        order = np.argsort(levels, kind="stable")
+        self._level_ends = (
+            np.flatnonzero(np.diff(levels[order])) + 1
+        ).tolist() + [levels.size]
+        self._cell_coords = grids.reshape(ndim, -1)[:, order]
+        self._cell_offset = np.ravel_multi_index(
+            tuple(self._cell_coords + np.asarray(layout.ghost_lo)[:, None]),
+            self.padded_shape,
+        )
+        self._plane = int(np.prod(self.padded_shape))
+        strides = [
+            int(np.prod(self.padded_shape[k + 1:])) for k in range(ndim)
+        ]
+        self._shifts = np.array(
+            [
+                [sum(s * r for s, r in zip(strides, vec))]
+                for _, vec in spec.templates.items()
+            ],
+            dtype=np.int64,
+        )
+        self._lin = [
+            None if p["lin"] is None else p["lin"].reshape(-1)[order]
+            for p in self._parts
+        ]
 
     # -- per-tile affine evaluation ------------------------------------------
 
@@ -252,37 +311,6 @@ class VectorTileEngine:
                 return np.zeros(self.widths, dtype=bool)
             mask = m if mask is None else (mask & m)
         return mask
-
-    def _template_validity(self, tile, params) -> Dict[str, object]:
-        """Per-template validity over the box (scalar bool or array)."""
-        cache: Dict[int, object] = {}
-        out: Dict[str, object] = {}
-        for name, ids in self.per_template.items():
-            combined: object = True
-            for idx in ids:
-                m = cache.get(idx)
-                if m is None:
-                    m = self._eval_parts(self._check_parts[idx], tile, params)
-                    cache[idx] = m
-                if m is False:
-                    combined = False
-                    break
-                if m is True:
-                    continue
-                combined = m if combined is True else (combined & m)
-            out[name] = combined
-        return out
-
-    def _wavefronts(self, mask: Optional[np.ndarray]):
-        if mask is None:
-            return self._full_wavefronts
-        flat = mask.reshape(-1)
-        fronts = []
-        for g in self._full_groups:
-            sel = g[flat[g]]
-            if sel.size:
-                fronts.append(np.unravel_index(sel, self.widths))
-        return fronts
 
     # -- array pack / unpack ---------------------------------------------------
 
@@ -347,299 +375,66 @@ class VectorTileEngine:
     ) -> int:
         """Evaluate the recurrence on every in-space cell of *tile*.
 
-        *array* is the padded tile array with ghost margins already
-        unpacked.  Returns the number of cells computed; records every
-        cell into *values* when given (keys are global-coordinate
-        tuples, exactly as the interpreter produces them).
+        *array* is the padded tile array (C-contiguous, as the drivers'
+        arena planes and recovery's scratch arrays are) with ghost
+        margins already unpacked.  The one-tile case of the lane gather
+        :meth:`WavefrontRun.execute_batch` runs over a front.  Returns
+        the number of cells computed; records every cell into *values*
+        when given (keys are global-coordinate tuples, exactly as the
+        interpreter produces them).
         """
-        mask = self._in_space_mask(tile, params)
-        if mask is None:
-            ncells = self._full_cells
-        else:
-            ncells = int(np.count_nonzero(mask))
-            if ncells == self._full_cells:
-                mask = None
-        fronts = self._wavefronts(mask)
-        if not fronts:
-            return 0
-
-        validity = self._template_validity(tile, params)
-        interior = array[self.interior_slices]
-        dep_views = {
-            name: array[slc] for name, slc in self.template_slices.items()
-        }
-        base = [w * t for w, t in zip(self.widths, tile)]
-        vector_kernel = self.vector_kernel
-        nan = np.float64(np.nan)
-
-        for idx in fronts:
-            point = {
-                x: base[k] + idx[k] for k, x in enumerate(self.loop_vars)
-            }
-            deps: Dict[str, object] = {}
-            valid: Dict[str, object] = {}
-            for name, view in dep_views.items():
-                v = validity[name]
-                if v is False:
-                    deps[name] = nan
-                    valid[name] = np.False_
-                    continue
-                vals = view[idx]
-                if isinstance(v, np.ndarray):
-                    vmask = v[idx]
-                    bad = np.isnan(vals) & vmask
-                else:
-                    vmask = np.True_
-                    bad = np.isnan(vals)
-                if bad.any():
-                    k = int(np.flatnonzero(bad)[0])
-                    where = {
-                        x: int(point[x][k]) for x in self.loop_vars
-                    }
-                    raise RuntimeExecutionError(
-                        f"tile {tile}: dependency {name} of point {where} "
-                        "is valid but its value was never computed or "
-                        "delivered"
-                    )
-                deps[name] = vals
-                valid[name] = vmask
-            out = np.asarray(
-                vector_kernel(point, deps, valid, params), dtype=np.float64
+        if not array.flags.c_contiguous:
+            raise RuntimeExecutionError(
+                f"tile {tile}: the padded array must be C-contiguous"
             )
-            if out.ndim == 0:
-                out = np.broadcast_to(out, idx[0].shape)
-            interior[idx] = out
-            if values is not None:
-                cols = np.stack(
-                    [point[x] for x in self.loop_vars], axis=1
-                ).tolist()
-                values.update(zip(map(tuple, cols), out.tolist()))
-        return ncells
+        one = LaneGather(self, params, values)
+        one._evaluate(array.reshape(-1), 0, np.array([tile], dtype=np.int64))
+        return one.cells
 
 
-class WavefrontEngine:
-    """Evaluates whole ready-fronts of tiles as one batched operation.
+class LaneGather:
+    """The array evaluation, for any number of independent tiles.
 
-    The per-tile :class:`VectorTileEngine` still pays Python per tile:
-    one ghost-array allocation, one pack/unpack round-trip per edge,
-    one validity evaluation, and one kernel call per intra-tile
-    wavefront.  This engine amortizes all of that over a *batch* —
-    every simultaneously-ready tile of one static wavefront level (see
-    :meth:`repro.runtime.scheduler.TileScheduler.start_batch`):
-
-    * the batch shares a single padded ghost array of shape
-      ``(B, *padded_shape)``, allocated once per front;
-    * interior cross-tile edges are **array slices**: a consumer's ghost
-      margin is filled directly from the retained interior of its
-      producer (``fill_slices`` maps each delta to a static
-      producer-slab → consumer-window slice pair), so the pack/copy/
-      unpack round-trip disappears.  Packed edges survive at rank
-      boundaries (SPMD) — exactly the edges the generated C sends over
-      MPI — and, under ``keep_edges``, everywhere; they are the same
-      slabs, array-packed by the per-tile engine's
-      :meth:`~VectorTileEngine.pack_edge`;
-    * interval analysis runs **batched**: one integer matmul yields the
-      per-tile base of every space constraint and validity check for the
-      front; parts that are uniform over a tile's box stay per-tile
-      scalars, and only the mixed (tile, part) pairs are compared
-      against the box (``lin >= -base``) to give the in-space mask and
-      the per-template validity masks;
-    * evaluation is a **masked lane gather**: for each intra-tile level
-      the in-space cells of *all* tiles are gathered through precomputed
-      flat offsets into the batch array (one interior offset per box
-      cell, one integer shift per template), handed to the vector kernel
-      in one call, and scattered back in place.  Ragged boundary tiles
-      are lanes of the same calls as full ones; out-of-space interior
-      cells are never written and stay NaN.  A front is evaluated in
-      sub-batches of at most :data:`CELL_BUDGET` box cells, which bounds
-      the masks and index arrays however wide the front is; the lanes
-      of a sub-batch are listed once (:meth:`WavefrontRun._lanes`) and
-      each level slices that list.
-
-    Bit-identity with the per-tile path holds because vector kernels are
-    lane-wise: gathering cells of many tiles into one lane array feeds
-    every cell the same dependency values through the same IEEE
-    operations in the same order.  Results are pinned against
-    ``mode="vector"``, the interpreter and ``solve_reference`` in
-    tests/test_wavefront.py.
-
-    Construction derives only program-level geometry; per-run state
-    (retained interiors, refcounts, parameter-folded check bases) lives
-    in :class:`WavefrontRun`.
+    Per run of it: the parameter-folded base of every affine part, the
+    cell count and the optional ``values`` record.  It needs the engine,
+    the run's parameters and nothing else — no graph, no scheduler — so
+    one recomputed tile (:meth:`VectorTileEngine.execute_tile`) and a
+    whole front (:class:`WavefrontRun`) are evaluated by the same
+    :meth:`_masks` -> :meth:`_lanes` -> :meth:`_evaluate`.
     """
 
     def __init__(
         self,
-        program: GeneratedProgram,
-        tile_engine: Optional[VectorTileEngine] = None,
-    ):
-        self.tile_engine = (
-            tile_engine if tile_engine is not None
-            else VectorTileEngine(program)
-        )
-        eng = self.tile_engine
-        self.program = program
-        self.spec = eng.spec
-        self.layout = eng.layout
-        self.loop_vars = eng.loop_vars
-        self.widths = eng.widths
-        self.padded_shape = tuple(eng.layout.padded_shape)
-        self.interior_slices = eng.interior_slices
-        self.deltas = list(program.deltas)
-        # The tile engine's ghost-fill slice pairs by delta id, as the
-        # graph's CSR names them.
-        self._fills = [eng.fill_slices[delta] for delta in self.deltas]
-
-        # Batched interval analysis: stack every space constraint and
-        # validity check into one (d, P) tile-coefficient matrix so a
-        # single integer matmul yields the per-tile scalar base of every
-        # part for the whole batch.
-        self._parts = list(eng._space_parts) + list(eng._check_parts)
-        d = len(self.loop_vars)
-        if self._parts:
-            self._coef = np.array(
-                [p["tile_coefs"] for p in self._parts], dtype=np.int64
-            ).T
-        else:
-            self._coef = np.zeros((d, 0), dtype=np.int64)
-
-        # Lane-gather geometry.  Box cells are kept in level order (the
-        # concatenated intra-tile wavefronts), so the lanes of one level
-        # are one contiguous run of any level-ordered lane array.
-        order = np.concatenate(eng._full_groups)
-        self._level_ends = np.cumsum(
-            [g.size for g in eng._full_groups]
-        ).tolist()
-        self._cell_coords = eng._grids.reshape(d, -1)[:, order]
-        self._cell_offset = np.ravel_multi_index(
-            tuple(
-                self._cell_coords + np.asarray(eng.layout.ghost_lo)[:, None]
-            ),
-            self.padded_shape,
-        )
-        self._plane = int(np.prod(self.padded_shape))
-        strides = [int(np.prod(self.padded_shape[k + 1:])) for k in range(d)]
-        templates = dict(self.spec.templates.items())
-        self._templates = list(templates)
-        self._shifts = np.array(
-            [
-                [sum(s * r for s, r in zip(strides, vec))]
-                for vec in templates.values()
-            ],
-            dtype=np.int64,
-        )
-        self._lin = [
-            None if p["lin"] is None else p["lin"].reshape(-1)[order]
-            for p in self._parts
-        ]
-        # Mask planes each part constrains: 0 is the in-space mask,
-        # 1 + t the validity of template t.
-        self._part_planes: List[List[int]] = [
-            [0] for _ in eng._space_parts
-        ] + [
-            [
-                1 + t
-                for t, name in enumerate(self._templates)
-                if idx in eng.per_template[name]
-            ]
-            for idx in range(len(eng._check_parts))
-        ]
-
-
-class WavefrontRun:
-    """Per-run state of the wavefront-fused executor.
-
-    Holds the retained tile interiors (the slice-copy substitute for
-    packed interior edges), their refcounts (number of *same-rank*
-    consumers still to run), the parameter-folded check bases, and the
-    run's ``values``/cell accounting.  With *keep_edges* every edge
-    arrives packed (the driver retains them all), so no interior is
-    retained at all.  Drivers call :meth:`execute_batch` once per
-    drained front and :meth:`verify_drained` after the loop.  Every
-    tile of a front, full or ragged, is evaluated by the one masked
-    lane-gather path (:meth:`_masks` + :meth:`_evaluate`); the per-tile
-    engine's ``execute_tile`` is never called from here.
-
-    *arena* is an optional externally-owned ``(cap, *padded_shape)``
-    float64 buffer backing the batch ghost arrays: when given,
-    :meth:`execute_batch` evaluates the front in place in ``arena[:B]``
-    instead of allocating a fresh array per front, and a front wider
-    than ``cap`` raises (drivers size the arena from the static front
-    widths, so that is a sizing bug, not a case to serve slowly).  The
-    process-parallel SPMD backend (:mod:`repro.runtime.parallel`) hands
-    each rank a view into a ``multiprocessing.shared_memory`` segment
-    here, and the single-rank driver reuses one heap allocation across
-    every front.  A returned batch is only valid until the next
-    :meth:`execute_batch` call.
-    """
-
-    def __init__(
-        self,
-        engine: WavefrontEngine,
-        graph,
+        engine: VectorTileEngine,
         params: Mapping[str, int],
-        rank_of: Optional[Sequence[int]] = None,
         values: Optional[Dict[Tuple[int, ...], float]] = None,
-        arena: Optional[np.ndarray] = None,
-        keep_edges: bool = False,
     ):
         self.engine = engine
-        self.graph = graph
         self.params = dict(params)
         self.values = values
         self.cells = 0
-        if arena is not None:
-            expected = engine.padded_shape
-            if (
-                arena.ndim != len(expected) + 1
-                or tuple(arena.shape[1:]) != expected
-                or arena.dtype != np.float64
-                or not arena.flags.c_contiguous
-            ):
-                raise RuntimeExecutionError(
-                    f"wavefront arena must be C-contiguous float64 with "
-                    f"shape (cap, {', '.join(map(str, expected))}); got "
-                    f"{arena.dtype} {tuple(arena.shape)}"
-                )
-        self._arena = arena
-        self._store: Dict[int, np.ndarray] = {}
-        self._refs: Dict[int, int] = {}
         # Per-part scalar base with the run's parameters folded in; the
         # batch classification only adds the tile term.
-        base0 = [
-            p["const"]
-            + sum(c * self.params[name] for name, c in p["param_items"])
-            for p in engine._parts
-        ]
-        self._base0 = np.asarray(base0, dtype=np.int64)
-        # How many consumers of each row read its interior through the
-        # shared array (same rank); cross-rank consumers go through
-        # packed edges and are not counted.
-        counts = np.diff(graph.cons_ptr)
-        if keep_edges:
-            self._nlocal = np.zeros(counts.size, dtype=np.int64)
-        elif rank_of is None:
-            self._nlocal = counts.astype(np.int64)
-        else:
-            r = np.asarray(rank_of, dtype=np.int64)
-            owner = np.repeat(np.arange(counts.size), counts)
-            same = r[owner] == r[graph.cons_rows]
-            self._nlocal = np.bincount(
-                owner[same], minlength=counts.size
-            ).astype(np.int64)
+        self._base0 = np.asarray(
+            [
+                p["const"]
+                + sum(c * self.params[name] for name, c in p["param_items"])
+                for p in engine._parts
+            ],
+            dtype=np.int64,
+        )
 
     # -- batched interval analysis -------------------------------------------
 
     def _masks(self, tiles_arr: np.ndarray) -> np.ndarray:
         """In-space and per-template validity masks for a sub-batch.
 
-        The batched twin of :meth:`VectorTileEngine._in_space_mask` and
-        :meth:`VectorTileEngine._template_validity`: a ``(1 + T, B, C)``
-        boolean array over the engine's level-ordered box cells — plane
-        0 is the in-space mask, plane ``1 + t`` the validity of template
-        ``t`` in spec order.  A part that interval analysis finds
-        uniform over a tile's box contributes a per-tile scalar; only
-        the mixed (tile, part) pairs are compared against the box.
+        A ``(1 + T, B, C)`` boolean array over the engine's
+        level-ordered box cells — plane 0 is the in-space mask, plane
+        ``1 + t`` the validity of template ``t`` in spec order.  A part
+        that interval analysis finds uniform over a tile's box
+        contributes a per-tile scalar; only the mixed (tile, part) pairs
+        are compared against the box.
         """
         eng = self.engine
         vals = self._base0[None, :] + tiles_arr @ eng._coef
@@ -667,6 +462,157 @@ class WavefrontRun:
                 for plane in planes:
                     masks[plane, mixed] &= box
         return masks
+
+    def _lanes(self, space: np.ndarray):
+        """Every in-space lane of a sub-batch, listed once.
+
+        *space* is the ``(B, C)`` in-space plane of :meth:`_masks`.
+        Returns ``(ci, bi, cuts)``: lane ``k`` is level-ordered box cell
+        ``ci[k]`` of tile ``bi[k]``, lanes ascending by cell and then
+        tile.  Box cells are level-ordered, so the lanes of intra-tile
+        level ``l`` are the slice ``cuts[l]:cuts[l + 1]`` of both arrays
+        — the lanes ``np.nonzero(space[:, lo:hi])`` finds for that
+        level's cell range, without a strided scan per level.
+        """
+        B = space.shape[0]
+        bi = np.flatnonzero(space.T)  # cell * B + tile, ascending
+        ci = bi // B
+        bi -= ci * B
+        cuts = np.searchsorted(ci, self.engine._level_ends)
+        return ci, bi, [0] + cuts.tolist()
+
+    def _evaluate(self, flat: np.ndarray, b0: int, tiles_arr: np.ndarray):
+        """Masked lane-gather evaluation of batch rows ``b0:b0+len(tiles_arr)``.
+
+        *flat* is the whole batch array (one tile's padded array is a
+        batch of one), flattened.  Per intra-tile level, the in-space
+        cells of every tile become the lanes of one kernel call and the
+        result is scattered back in place; a valid dependency that reads
+        NaN raises, naming tile, template and point.  The lane list and
+        its index into the validity planes are built once for the
+        sub-batch (:meth:`_lanes`); a level only slices them.
+        """
+        eng = self.engine
+        loop_vars = eng.loop_vars
+        names = eng._templates
+        masks = self._masks(tiles_arr)
+        space, validity = masks[0], masks[1:]
+        plane0 = (b0 + np.arange(len(tiles_arr))) * eng._plane
+        base = np.ascontiguousarray(
+            (tiles_arr * np.asarray(eng.widths, dtype=np.int64)).T
+        )
+        vflat = validity.reshape(len(names), -1)
+        lane_cell, lane_tile, cuts = self._lanes(space)
+        self.cells += lane_cell.size
+        lane_valid = lane_tile * space.shape[1]  # a lane's index into vflat
+        lane_valid += lane_cell
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo == hi:
+                continue
+            ci = lane_cell[lo:hi]
+            bi = lane_tile[lo:hi]
+            here = eng._cell_offset.take(ci) + plane0.take(bi)
+            coords = eng._cell_coords.take(ci, axis=1)
+            coords += base.take(bi, axis=1)
+            vals = flat.take(here + eng._shifts)
+            vmask = vflat.take(lane_valid[lo:hi], axis=1)
+            bad = np.isnan(vals) & vmask
+            if bad.any():
+                t, j = (int(a[0]) for a in np.nonzero(bad))
+                tile = tuple(tiles_arr[int(bi[j])].tolist())
+                where = dict(zip(loop_vars, coords[:, j].tolist()))
+                raise RuntimeExecutionError(
+                    f"tile {tile}: dependency {names[t]} of point {where} "
+                    "is valid but its value was never computed or "
+                    "delivered"
+                )
+            flat[here] = np.asarray(
+                eng.vector_kernel(
+                    dict(zip(loop_vars, coords)),
+                    dict(zip(names, vals)),
+                    dict(zip(names, vmask)),
+                    self.params,
+                ),
+                dtype=np.float64,
+            )
+            if self.values is not None:
+                self.values.update(
+                    zip(map(tuple, coords.T.tolist()), flat[here].tolist())
+                )
+
+
+class WavefrontRun(LaneGather):
+    """What a front-at-a-time run adds to :class:`LaneGather`.
+
+    Every simultaneously-ready tile of one static wavefront level (see
+    :meth:`repro.runtime.scheduler.TileScheduler.start_batch`) shares a
+    single padded ghost array of shape ``(B, *padded_shape)``, and this
+    class owns its per-front state: the retained tile interiors (the
+    slice-copy substitute for packed interior edges) and their
+    refcounts (number of *same-rank* consumers still to run).  With
+    *keep_edges* every edge arrives packed (the driver retains them
+    all), so no interior is retained at all.  Drivers call
+    :meth:`execute_batch` once per drained front and
+    :meth:`verify_drained` after the loop.  Every tile of a front, full
+    or ragged, is a set of lanes of the one evaluation; the per-tile
+    entry point ``execute_tile`` is never called from here.
+
+    *arena* is an optional externally-owned ``(cap, *padded_shape)``
+    float64 buffer backing the batch ghost arrays: when given,
+    :meth:`execute_batch` evaluates the front in place in ``arena[:B]``
+    instead of allocating a fresh array per front, and a front wider
+    than ``cap`` raises (drivers size the arena from the static front
+    widths, so that is a sizing bug, not a case to serve slowly).  The
+    process-parallel SPMD backend (:mod:`repro.runtime.parallel`) hands
+    each rank a view into a ``multiprocessing.shared_memory`` segment
+    here, and the single-rank driver reuses one heap allocation across
+    every front.  A returned batch is only valid until the next
+    :meth:`execute_batch` call.
+    """
+
+    def __init__(
+        self,
+        engine: VectorTileEngine,
+        graph,
+        params: Mapping[str, int],
+        rank_of: Optional[Sequence[int]] = None,
+        values: Optional[Dict[Tuple[int, ...], float]] = None,
+        arena: Optional[np.ndarray] = None,
+        keep_edges: bool = False,
+    ):
+        super().__init__(engine, params, values)
+        self.graph = graph
+        if arena is not None:
+            expected = engine.padded_shape
+            if (
+                arena.ndim != len(expected) + 1
+                or tuple(arena.shape[1:]) != expected
+                or arena.dtype != np.float64
+                or not arena.flags.c_contiguous
+            ):
+                raise RuntimeExecutionError(
+                    f"wavefront arena must be C-contiguous float64 with "
+                    f"shape (cap, {', '.join(map(str, expected))}); got "
+                    f"{arena.dtype} {tuple(arena.shape)}"
+                )
+        self._arena = arena
+        self._store: Dict[int, np.ndarray] = {}
+        self._refs: Dict[int, int] = {}
+        # How many consumers of each row read its interior through the
+        # shared array (same rank); cross-rank consumers go through
+        # packed edges and are not counted.
+        counts = np.diff(graph.cons_ptr)
+        if keep_edges:
+            self._nlocal = np.zeros(counts.size, dtype=np.int64)
+        elif rank_of is None:
+            self._nlocal = counts.astype(np.int64)
+        else:
+            r = np.asarray(rank_of, dtype=np.int64)
+            owner = np.repeat(np.arange(counts.size), counts)
+            same = r[owner] == r[graph.cons_rows]
+            self._nlocal = np.bincount(
+                owner[same], minlength=counts.size
+            ).astype(np.int64)
 
     # -- batch execution ------------------------------------------------------
 
@@ -713,7 +659,7 @@ class WavefrontRun:
         fills = eng._fills
         store = self._store
         refs = self._refs
-        unpack_edge = eng.tile_engine.unpack_edge
+        unpack_edge = eng.unpack_edge
         tt = graph.tile_tuples
         for b, (row, lo, hi) in enumerate(zip(rows, starts, ends)):
             arr = batch[b]
@@ -753,86 +699,6 @@ class WavefrontRun:
                 store[rows[b]] = batch[b][interior_slices].copy()
                 refs[rows[b]] = n
         return batch
-
-    def _lanes(self, space: np.ndarray):
-        """Every in-space lane of a sub-batch, listed once.
-
-        *space* is the ``(B, C)`` in-space plane of :meth:`_masks`.
-        Returns ``(ci, bi, cuts)``: lane ``k`` is level-ordered box cell
-        ``ci[k]`` of tile ``bi[k]``, lanes ascending by cell and then
-        tile.  Box cells are level-ordered, so the lanes of intra-tile
-        level ``l`` are the slice ``cuts[l]:cuts[l + 1]`` of both arrays
-        — the lanes ``np.nonzero(space[:, lo:hi])`` finds for that
-        level's cell range, without a strided scan per level.
-        """
-        B = space.shape[0]
-        bi = np.flatnonzero(space.T)  # cell * B + tile, ascending
-        ci = bi // B
-        bi -= ci * B
-        cuts = np.searchsorted(ci, self.engine._level_ends)
-        return ci, bi, [0] + cuts.tolist()
-
-    def _evaluate(self, flat: np.ndarray, b0: int, tiles_arr: np.ndarray):
-        """Masked lane-gather evaluation of batch rows ``b0:b0+len(tiles_arr)``.
-
-        *flat* is the whole batch array, flattened.  Per intra-tile
-        level, the in-space cells of every tile become the lanes of one
-        kernel call — the 1-D lane arrays the per-tile engine feeds it,
-        just more lanes per call — and the result is scattered back in
-        place.  The lane list and its index into the validity planes
-        are built once for the sub-batch (:meth:`_lanes`); a level only
-        slices them.
-        """
-        eng = self.engine
-        tile_engine = eng.tile_engine
-        loop_vars = eng.loop_vars
-        names = eng._templates
-        masks = self._masks(tiles_arr)
-        space, validity = masks[0], masks[1:]
-        plane0 = (b0 + np.arange(len(tiles_arr))) * eng._plane
-        base = np.ascontiguousarray(
-            (tiles_arr * np.asarray(eng.widths, dtype=np.int64)).T
-        )
-        vflat = validity.reshape(len(names), -1)
-        lane_cell, lane_tile, cuts = self._lanes(space)
-        self.cells += lane_cell.size
-        lane_valid = lane_tile * space.shape[1]  # a lane's index into vflat
-        lane_valid += lane_cell
-        for lo, hi in zip(cuts, cuts[1:]):
-            if lo == hi:
-                continue
-            ci = lane_cell[lo:hi]
-            bi = lane_tile[lo:hi]
-            here = eng._cell_offset.take(ci) + plane0.take(bi)
-            coords = eng._cell_coords.take(ci, axis=1)
-            coords += base.take(bi, axis=1)
-            vals = flat.take(here + eng._shifts)
-            vmask = vflat.take(lane_valid[lo:hi], axis=1)
-            bad = np.isnan(vals) & vmask
-            if bad.any():
-                t, j = (int(a[0]) for a in np.nonzero(bad))
-                tile = tuple(tiles_arr[int(bi[j])].tolist())
-                where = dict(zip(loop_vars, coords[:, j].tolist()))
-                raise RuntimeExecutionError(
-                    f"tile {tile}: dependency {names[t]} of point {where} "
-                    "is valid but its value was never computed or "
-                    "delivered"
-                )
-            # Read the kernel off the tile engine per call: tracers wrap
-            # that attribute from outside.
-            flat[here] = np.asarray(
-                tile_engine.vector_kernel(
-                    dict(zip(loop_vars, coords)),
-                    dict(zip(names, vals)),
-                    dict(zip(names, vmask)),
-                    self.params,
-                ),
-                dtype=np.float64,
-            )
-            if self.values is not None:
-                self.values.update(
-                    zip(map(tuple, coords.T.tolist()), flat[here].tolist())
-                )
 
     # -- terminal check -------------------------------------------------------
 

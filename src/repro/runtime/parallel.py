@@ -525,14 +525,12 @@ def run_spmd_process(
         # every worker's scheduler.
         graph.wavefront_levels()
         graph.dependency_count_array()
+    if resolved != "interpret":
+        ce.vector_engine
     if resolved == "wavefront":
-        ce.wavefront_engine
         graph.wavefront_levels()
-    else:
-        if schedule == "dynamic":
-            graph.priority_tuples(priority_scheme)
-        if resolved == "vector":
-            ce.vector_engine
+    elif schedule == "dynamic":
+        graph.priority_tuples(priority_scheme)
 
     channel_cells, slots = cross_edge_slots(graph, rank_of)
     padded_shape = tuple(program.layout.padded_shape)

@@ -23,13 +23,13 @@ Recovery owns no scheduling, compilation or evaluation machinery of its
 own: the forward pass is :func:`repro.runtime.executor.execute`, and a
 tile is recomputed by the executor's shared tile body and edge transport
 (:class:`~repro.runtime.executor._RunState`) under the engine the
-forward pass resolved to — array unpack plus the vector engine, or, for
-programs with no vector kernel or a custom scalar kernel, the
-``PackPlan`` scans plus the interpreter — with every check that body
-performs (a valid dependency whose saved value is missing or NaN
-raises, naming tile, template and point).  Producer edges come from the
-graph's CSR arrays, the same delta-order walk the drivers' unpack loops
-use.
+forward pass resolved to — array unpack plus the array engine's
+one-tile dispatch, or, for programs with no vector kernel or a custom
+scalar kernel, the ``PackPlan`` scans plus the interpreter — with every
+check that body performs (a valid dependency whose saved value is
+missing or NaN raises, naming tile, template and point).  Producer edges
+come from the graph's CSR arrays, the same delta-order walk the drivers'
+unpack loops use.
 """
 
 from __future__ import annotations
@@ -66,11 +66,9 @@ class SolutionRecovery:
     ):
         self.program = program
         self.params = dict(params)
+        # None for a spec that carries only a vector kernel: forward
+        # pass and recomputation then both run on the array engine.
         self.kernel = kernel if kernel is not None else program.spec.kernel
-        if self.kernel is None:
-            raise RuntimeExecutionError(
-                "solution recovery needs a Python kernel"
-            )
         self.graph = tile_graph(program, self.params)
         # The forward pass honors the caller's schedule policy; the
         # saved edge set is identical either way (every edge is packed

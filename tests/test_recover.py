@@ -1,6 +1,7 @@
 """Solution recovery (Section VII-A): saved edges + tile recomputation."""
 
 import ast
+import dataclasses
 import itertools
 import re
 
@@ -151,6 +152,27 @@ class TestTraceback:
                 i, j = point["i"], point["j"]
                 ops += 0 if a[i - 1] == b[j - 1] else 1
         assert ops == edit_distance_reference(a, b)
+
+    def test_vector_kernel_only_spec_recovers_on_the_array_engine(
+        self, edit_program, edit_strings
+    ):
+        a, b = edit_strings
+        params = {"LA": len(a), "LB": len(b)}
+        spec = dataclasses.replace(edit_program.spec, kernel=None)
+        rec = SolutionRecovery(generate(spec), params)
+        full = SolutionRecovery(edit_program, params)
+        assert rec.result.mode == "wavefront"
+        for tile in full.graph.tile_tuples:
+            assert rec.tile_values(tile) == full.tile_values(tile)
+
+        def policy(point, deps, value):
+            return next(
+                (n for n in ("diag", "up", "left") if deps[n] is not None),
+                None,
+            )
+
+        path = rec.traceback(policy)
+        assert path[-1] == ({"i": 0, "j": 0}, None)
 
     def test_runaway_policy_detected(self, bandit_recovery):
         # A policy that never stops but keeps moving along valid

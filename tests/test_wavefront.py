@@ -1,14 +1,17 @@
-"""Wavefront-fused batch execution: parity, determinism, degradation.
+"""Front-at-a-time dispatch of the array engine: parity, determinism,
+degradation.
 
-The wavefront engine is a pure performance transformation — it must be
-*bit-identical* to the per-tile vector engine, the interpreter and the
-untiled ``solve_reference`` oracle on every bundled problem, at every
-tile width, across every rank count.  This suite pins exactly that, plus
+Dispatching the array evaluator a whole ready front at a time is a pure
+performance transformation — it must be *bit-identical* to per-tile
+dispatch (``mode="vector"``), the interpreter and the untiled
+``solve_reference`` oracle on every bundled problem, at every tile
+width, across every rank count.  This suite pins exactly that, plus
 the dispatch/degradation contract (``mode="auto"`` never raises), the
-masked lane-gather path's own contract (no per-tile fallback, masks
-equal to the per-tile engine's, the sub-batch lane list equal to a scan
-per level, sub-batching invisible, a front wider than its arena
-rejected), the array
+masked lane gather's own contract (a front never goes through the
+per-tile entry point, masks equal to the interpreter's compiled checks
+cell by cell, the sub-batch lane list equal to a scan per level, the
+one-tile case byte-identical to the batched one, sub-batching invisible,
+a front wider than its arena rejected), the array
 pack/unpack contract (byte-for-byte the ``PackPlan`` scans; wavefront
 runs retain interpreter-identical edges under ``keep_edges``), the
 deadlock-free guarantee of batch draining under pathological rank
@@ -19,6 +22,7 @@ scheduler relies on.
 import ast
 import dataclasses
 import hashlib
+import itertools
 import re
 from fractions import Fraction
 
@@ -48,7 +52,7 @@ from repro.runtime import (
     tile_graph,
 )
 from repro.runtime import fastpath
-from repro.runtime.fastpath import VectorTileEngine, WavefrontRun
+from repro.runtime.fastpath import LaneGather, VectorTileEngine, WavefrontRun
 from repro.runtime.scheduler import TileScheduler, encode_events
 from repro.runtime.spmd import spmd_rank_assignment
 
@@ -271,8 +275,8 @@ class TestMaskedLaneGather:
     def test_masks_equal_per_tile_engine(self, case, data):
         program, params = case
         graph = tile_graph(program, params)
-        engine = compiled_executor(program).wavefront_engine
-        tile_engine = engine.tile_engine
+        ce = compiled_executor(program)
+        engine = ce.vector_engine
         # Tiles one step beyond the graph's bounding box too: wholly
         # out-of-space boxes must classify uniformly false.
         tiles = data.draw(
@@ -290,26 +294,34 @@ class TestMaskedLaneGather:
                 max_size=4,
             )
         )
-        masks = WavefrontRun(engine, graph, params)._masks(
+        masks = LaneGather(engine, params)._masks(
             np.array(tiles, dtype=np.int64)
         )
-        order = np.concatenate(tile_engine._full_groups)
-
-        def level_ordered(truth):
-            # Scalar True/False (or None = whole box) broadcast.
-            truth = True if truth is None else truth
-            return np.broadcast_to(truth, engine.widths).reshape(-1)[order]
-
+        # The oracle shares no code with the engine: the interpreter's
+        # compiled closures, cell by cell, over the box in level order
+        # (C order, stably sorted by the direction-weighted level).
+        spec = program.spec
+        widths = spec.tile_width_vector()
+        directions = spec.scan_directions()
+        box = sorted(
+            itertools.product(*map(range, widths)),
+            key=lambda local: sum(
+                directions[x] * i for x, i in zip(spec.loop_vars, local)
+            ),
+        )
+        check_fns, per_template = ce.validity_checks
+        env = dict(params)
         for b, tile in enumerate(tiles):
-            assert np.array_equal(
-                masks[0, b],
-                level_ordered(tile_engine._in_space_mask(tile, params)),
-            )
-            validity = tile_engine._template_validity(tile, params)
-            for t, name in enumerate(engine._templates):
-                assert np.array_equal(
-                    masks[1 + t, b], level_ordered(validity[name])
+            for c, local in enumerate(box):
+                env.update(
+                    (x, w * t + i)
+                    for x, w, t, i in zip(spec.loop_vars, widths, tile, local)
                 )
+                assert masks[0, b, c] == ce.in_space(env)
+                for t, name in enumerate(spec.templates.names()):
+                    assert masks[1 + t, b, c] == all(
+                        check_fns[idx](env) for idx in per_template[name]
+                    )
 
     @settings(
         max_examples=15,
@@ -320,7 +332,7 @@ class TestMaskedLaneGather:
     def test_lane_list_slices_are_the_per_level_scans(self, case, data):
         program, params = case
         graph = tile_graph(program, params)
-        engine = compiled_executor(program).wavefront_engine
+        engine = compiled_executor(program).vector_engine
         # Random sub-batches: out-of-box tiles (no lane at all) beside
         # the graph's last tile, a single-cell corner wherever the width
         # leaves a remainder of one (edit-w3, bandit2's simplex tips).
@@ -338,7 +350,7 @@ class TestMaskedLaneGather:
                 max_size=4,
             )
         ) + [graph.tile_tuples[-1]]
-        run = WavefrontRun(engine, graph, params)
+        run = LaneGather(engine, params)
         space = run._masks(np.array(tiles, dtype=np.int64))[0]
         cells, owners, cuts = run._lanes(space)
         assert len(cuts) == len(engine._level_ends) + 1
@@ -360,10 +372,43 @@ class TestMaskedLaneGather:
             assert np.array_equal(mine_b[order], bi)
             assert np.array_equal(mine_c[order], ci)
 
+    @pytest.mark.parametrize("name", ["bandit2-w3", "lcs2-w5"])
+    def test_one_tile_case_is_the_batched_case(self, name):
+        _, spec, params = MATRIX[MATRIX_IDS.index(name)]
+        program = generate(spec)
+        graph = tile_graph(program, params)
+        engine = compiled_executor(program).vector_engine
+        run = WavefrontRun(engine, graph, params, values={})
+        sched = TileScheduler(graph, batch=True)
+        sched.seed()
+        one_values = {}
+        one_cells = 0
+        while True:
+            rows = sched.start_batch(0)
+            if not rows:
+                break
+            batch = run.execute_batch(rows)
+            for row, plane in zip(rows, batch):
+                # The tile's ghost-filled padded array as the front saw
+                # it: the same margins, the interior not yet computed.
+                array = plane.copy()
+                array[engine.interior_slices] = np.nan
+                one_cells += engine.execute_tile(
+                    graph.tile_tuples[row], array, params, one_values
+                )
+                assert array.tobytes() == plane.tobytes()
+            assert one_cells == run.cells
+            for row in rows:
+                for consumer, _, _, _ in sched.outgoing(row):
+                    sched.deliver_edge(consumer)
+                sched.finish_tile(row)
+        assert one_cells == int(graph.work_array.sum())
+        assert one_values == run.values
+
     def test_front_wider_than_the_arena_is_rejected(self, bandit2_program):
         params = {"N": 7}
         graph = tile_graph(bandit2_program, params)
-        engine = compiled_executor(bandit2_program).wavefront_engine
+        engine = compiled_executor(bandit2_program).vector_engine
         arena = np.empty((1,) + engine.padded_shape)
         run = WavefrontRun(engine, graph, params, arena=arena)
         sched = TileScheduler(graph, batch=True)
@@ -389,12 +434,12 @@ class TestMaskedLaneGather:
         params = {"N": 8}
         spec = bandit2_program.spec
         graph = tile_graph(bandit2_program, params)
-        engine = compiled_executor(bandit2_program).wavefront_engine
+        engine = compiled_executor(bandit2_program).vector_engine
         tiles = graph.tile_tuples
         ragged = {
             row
             for row, tile in enumerate(tiles)
-            if engine.tile_engine._in_space_mask(tile, params) is not None
+            if engine._in_space_mask(tile, params) is not None
         }
 
         def consumers(row):
@@ -560,7 +605,7 @@ class TestArrayPackUnpack:
     def test_edge_for_another_front_is_rejected(self, bandit2_program):
         params = {"N": 7}
         graph = tile_graph(bandit2_program, params)
-        engine = compiled_executor(bandit2_program).wavefront_engine
+        engine = compiled_executor(bandit2_program).vector_engine
         run = WavefrontRun(engine, graph, params, keep_edges=True)
         sched = TileScheduler(graph, batch=True)
         sched.seed()
@@ -807,7 +852,6 @@ class TestAutoDegradation:
         ce = compiled_executor(program)
         assert ce.vector_engine is None
         assert "non-integral" in ce.vector_reason
-        assert "non-integral" in ce.wavefront_reason
         res = execute(program, {"N": 5}, record_values=True)
         assert res.mode == "interpret"
         # The fraction evaluates exactly in the interpreter closures:
