@@ -52,6 +52,7 @@ producing one requires executing the program, so it runs behind
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from typing import (
     Counter as CounterType,
     Dict,
@@ -65,10 +66,9 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from ..errors import ReproError, RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
+from ..runtime.executor import RunConfig, execute
 from ..runtime.graph import TileGraph, tile_graph
 from ..runtime.memory import EdgeMemoryTracker
 from ..runtime.scheduler import (
@@ -77,6 +77,7 @@ from ..runtime.scheduler import (
     decode_events,
 )
 from ..runtime.spmd import spmd_rank_assignment
+from ..runtime.tuner import retile_program
 from ..spec import Kernel
 from .diagnostics import Diagnostic, make_diagnostic
 
@@ -620,50 +621,37 @@ def check_trace(
 def racecheck_execution(
     program: GeneratedProgram,
     params: Mapping[str, int],
-    ranks: int = 1,
-    backend: str = "inline",
-    mode: str = "auto",
+    config: RunConfig,
     kernel: Optional[Kernel] = None,
-    lb_method: str = "dimension-cut",
-    priority_scheme: str = "lb-first",
-    schedule: str = "dynamic",
 ) -> List[Diagnostic]:
     """Execute with event recording, then sanitize the trace.
 
-    The dynamic half of ``repro-racecheck``: runs the program through
-    the requested backend with ``record_events=True`` and hands the
-    trace (plus the rank assignment the run used) to
-    :func:`check_trace`.  A failing run is *not* an analysis error —
-    the partial traces the process backend attaches to its
+    The dynamic half of ``repro-racecheck``.  *config* is the one run
+    description that feeds both halves: the program runs under it (with
+    ``record_events`` on), and the rank assignment, transport and
+    schedule policy :func:`check_trace` holds the trace to are derived
+    from the same config as the run resolved it
+    (``ExecutionResult.config``).  A failing run is *not* an analysis
+    error — the partial traces the process backend attaches to its
     :class:`~repro.errors.RuntimeExecutionError` (``partial_events``)
-    are sanitized with the non-reporting ranks marked dead, which is
-    how a killed worker classifies as truncated-but-race-free.
+    are sanitized under *config* as given with the non-reporting ranks
+    marked dead, which is how a killed worker classifies as
+    truncated-but-race-free.
     """
-    from ..runtime.executor import execute
-
     problem = program.spec.name
     params = dict(params)
-    graph = tile_graph(program, params)
-    if ranks == 1:
-        rank_arr = np.zeros(len(graph.tile_tuples), dtype=np.int64)
-    else:
-        rank_arr = spmd_rank_assignment(
-            program, params, graph, ranks, lb_method=lb_method
-        )
-    transport = "process" if (backend == "process" and ranks > 1) else "inline"
-
+    events: List[TransitionEvent] = []
+    dead: List[int] = []
+    complete = True
     try:
         result = execute(
             program,
             params,
-            kernel=kernel,
-            ranks=ranks,
-            backend=backend if ranks > 1 else "inline",
-            mode=mode,
-            priority_scheme=priority_scheme,
-            record_events=True,
-            schedule=schedule,
+            kernel,
+            config=replace(config, record_events=True),
         )
+        events = result.events or []
+        config = result.config
     except ReproError as exc:
         partial = getattr(exc, "partial_events", None)
         if partial is None:
@@ -675,25 +663,22 @@ def racecheck_execution(
                     source="trace",
                 )
             ]
-        events = []
         for r in sorted(partial):
             events.extend(partial[r])
-        dead = sorted(set(range(ranks)) - set(partial))
-        return check_trace(
-            graph,
-            rank_arr,
-            events,
-            problem=problem,
-            transport=transport,
-            dead_ranks=dead,
-            expect_complete=False,
-            schedule=schedule,
-        )
+        dead = sorted(set(range(config.ranks)) - set(partial))
+        complete = False
+    if config.tile_widths is not None:
+        program = retile_program(program, config.tile_widths)
+    graph = tile_graph(program, params)
     return check_trace(
         graph,
-        rank_arr,
-        result.events or [],
+        spmd_rank_assignment(
+            program, params, graph, config.ranks, lb_method=config.lb_method
+        ),
+        events,
         problem=problem,
-        transport=transport,
-        schedule=schedule,
+        transport=config.backend,
+        dead_ranks=dead,
+        expect_complete=complete,
+        schedule=config.schedule,
     )

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Dict, List
 
 from .errors import ReproError
@@ -34,8 +35,15 @@ from .generator import generate
 from .generator.cgen import emit_c_program
 from .generator.pygen import emit_python_program
 from .problems import REGISTRY, random_sequence
-from .runtime import execute
-from .runtime.executor import EXECUTION_MODES
+from .generator import PRIORITY_SCHEMES
+from .runtime import (
+    EXECUTION_MODES,
+    LB_METHODS,
+    SCHEDULE_POLICIES,
+    SPMD_BACKENDS,
+    RunConfig,
+    execute,
+)
 from .spec import ensure_kernel
 from .simulate import (
     MachineModel,
@@ -170,6 +178,99 @@ def main_generate(argv=None) -> int:
     return 0
 
 
+def _add_run_options(ap: argparse.ArgumentParser, sweep: bool = False) -> None:
+    """The :class:`RunConfig` options of ``repro-run`` and
+    ``repro-racecheck``, choices and defaults from the runtime itself.
+
+    *sweep* (``repro-racecheck``) makes ``--ranks`` and ``--backend``
+    repeatable, one audited execution per combination, and leaves out
+    what the trace audit has no reading for: ``--priority`` and
+    ``--schedule auto``.
+    """
+    if sweep:
+        ap.add_argument(
+            "--ranks",
+            type=int,
+            action="append",
+            default=[],
+            metavar="P",
+            help="rank count to execute at (repeatable; default: 1 2 4)",
+        )
+        ap.add_argument(
+            "--backend",
+            action="append",
+            default=[],
+            choices=SPMD_BACKENDS,
+            help="transport to execute with (repeatable; default: both); "
+            "the process backend is skipped at --ranks 1",
+        )
+    else:
+        ap.add_argument(
+            "--ranks",
+            type=int,
+            default=RunConfig.ranks,
+            help="SPMD rank count; > 1 partitions tiles with the load "
+            "balancer and routes cross-rank edges through in-memory "
+            "message queues (and cross-checks the result against a "
+            "single-rank run)",
+        )
+        ap.add_argument(
+            "--backend",
+            choices=SPMD_BACKENDS,
+            default=RunConfig.backend,
+            help="multi-rank transport: 'inline' (default) interleaves "
+            "the ranks cooperatively in this thread (the deterministic "
+            "oracle); 'process' runs one OS worker per rank over "
+            "shared-memory ghost arrays for real multi-core parallelism "
+            "(requires --ranks >= 2)",
+        )
+        ap.add_argument(
+            "--priority",
+            choices=PRIORITY_SCHEMES,
+            default=RunConfig.priority_scheme,
+        )
+    ap.add_argument(
+        "--schedule",
+        choices=SCHEDULE_POLICIES + (() if sweep else ("auto",)),
+        default=RunConfig.schedule,
+        help="ready-set policy: 'dynamic' (default) is the priority "
+        "heap, 'static' precomputes per-rank wavefront-level buckets"
+        + (
+            " (its traces skip the FIFO check RPR062, whose premise "
+            "only holds for the dynamic heap)"
+            if sweep
+            else ", 'auto' asks the simulator-driven tuner (repro-tune) "
+            "and may also retile"
+        ),
+    )
+    ap.add_argument(
+        "--mode",
+        choices=EXECUTION_MODES,
+        default=RunConfig.mode,
+        help="evaluator and dispatch: 'wavefront' runs the array "
+        "evaluator over a rank's whole ready front, 'vector' is the "
+        "array evaluator dispatched tile at a time (3.5-9.5x slower "
+        "than 'wavefront' on the suite instances; kept for trace parity "
+        "with the interpreter), 'interpret' evaluates the scalar kernel "
+        "cell by cell; 'auto' (default) is 'wavefront' when the problem "
+        "has a vector kernel and 'interpret' otherwise",
+    )
+
+
+def _run_config(args: argparse.Namespace, **fields) -> RunConfig:
+    """The :class:`RunConfig` the :func:`_add_run_options` flags
+    describe; *fields* add what the flags do not carry (tile widths, or
+    one ``ranks`` x ``backend`` point of a sweep)."""
+    fields.setdefault("ranks", args.ranks)
+    fields.setdefault("backend", args.backend)
+    return RunConfig(
+        mode=args.mode,
+        schedule=args.schedule,
+        priority_scheme=getattr(args, "priority", RunConfig.priority_scheme),
+        **fields,
+    )
+
+
 def main_run(argv=None) -> int:
     """Solve a built-in problem with the in-process tiled runtime."""
     ap = argparse.ArgumentParser(
@@ -193,49 +294,7 @@ def main_run(argv=None) -> int:
         help="tile width for every dimension (default: a heuristic "
         "sized from the problem extents toward O(10^2-10^3) tiles)",
     )
-    ap.add_argument(
-        "--priority",
-        choices=("column-major", "level-set", "lb-first", "lb-last"),
-        default="lb-first",
-    )
-    ap.add_argument(
-        "--schedule",
-        choices=("dynamic", "static", "auto"),
-        default="dynamic",
-        help="ready-set policy: 'dynamic' (default) is the priority "
-        "heap, 'static' precomputes per-rank wavefront-level buckets, "
-        "'auto' asks the simulator-driven tuner (repro-tune) and may "
-        "also retile",
-    )
-    ap.add_argument(
-        "--ranks",
-        type=int,
-        default=1,
-        help="SPMD rank count; > 1 partitions tiles with the load "
-        "balancer and routes cross-rank edges through in-memory message "
-        "queues (and cross-checks the result against a single-rank run)",
-    )
-    ap.add_argument(
-        "--mode",
-        choices=EXECUTION_MODES,
-        default="auto",
-        help="evaluator and dispatch: 'wavefront' runs the array "
-        "evaluator over a rank's whole ready front, 'vector' is the "
-        "array evaluator dispatched tile at a time (3.5-9.5x slower "
-        "than 'wavefront' on the suite instances; kept for trace parity "
-        "with the interpreter), 'interpret' evaluates the scalar kernel "
-        "cell by cell; 'auto' (default) is 'wavefront' when the problem "
-        "has a vector kernel and 'interpret' otherwise",
-    )
-    ap.add_argument(
-        "--backend",
-        choices=("inline", "process"),
-        default="inline",
-        help="multi-rank transport: 'inline' (default) interleaves the "
-        "ranks cooperatively in this thread (the deterministic oracle); "
-        "'process' runs one OS worker per rank over shared-memory ghost "
-        "arrays for real multi-core parallelism (requires --ranks >= 2)",
-    )
+    _add_run_options(ap)
     ap.add_argument("params", nargs="*", help="NAME=VALUE parameter overrides")
     args = ap.parse_args(argv)
     if args.ranks < 1:
@@ -258,35 +317,33 @@ def main_run(argv=None) -> int:
             tile_widths = _heuristic_widths(program, params)
         result = execute(
             program, params, kernel=kernel,
-            priority_scheme=args.priority, ranks=args.ranks,
-            mode=args.mode, backend=args.backend,
-            schedule=args.schedule, tile_widths=tile_widths,
+            config=_run_config(args, tile_widths=tile_widths),
         )
         single = None
         if args.ranks > 1:
-            # The cross-check reuses the schedule/widths the first run
-            # resolved (under --schedule auto the tuner already chose).
+            # The cross-check replays the run as it resolved (under
+            # --schedule auto the tuner already chose) on one rank.
             single = execute(
                 program, params, kernel=kernel,
-                priority_scheme=args.priority, mode=args.mode,
-                schedule=result.schedule, tile_widths=result.tile_widths,
+                config=replace(result.config, ranks=1, backend="inline"),
             )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(spec.describe())
     print()
+    cfg = result.config
     print(f"parameters        : {params}")
-    print(f"engine mode       : {result.mode}"
-          + (f" ({result.backend} backend)" if args.ranks > 1 else ""))
-    print(f"schedule          : {result.schedule}")
-    print(f"tile widths       : {result.tile_widths}")
+    print(f"engine mode       : {cfg.mode}"
+          + (f" ({cfg.backend} backend)" if cfg.ranks > 1 else ""))
+    print(f"schedule          : {cfg.schedule}")
+    print(f"tile widths       : {dict(cfg.tile_widths)}")
     print(f"tiles executed    : {result.tiles_executed}")
     print(f"cells computed    : {result.cells_computed}")
     print(f"peak edge buffer  : {result.memory['peak_cells']} cells "
           f"({result.memory['peak_edges']} edges)")
-    if args.ranks > 1:
-        print(f"ranks             : {result.ranks}")
+    if cfg.ranks > 1:
+        print(f"ranks             : {cfg.ranks}")
         print(f"tiles per rank    : {result.tiles_per_rank}")
         print(f"peak edges / rank : {result.peak_edge_cells_per_rank} cells")
         print(f"cross-rank msgs   : {result.cross_rank_messages} "
@@ -296,7 +353,7 @@ def main_run(argv=None) -> int:
               f"{'bit-identical' if identical else 'MISMATCH'}")
         if not identical:
             print(
-                f"error: ranks={args.ranks} objective "
+                f"error: ranks={cfg.ranks} objective "
                 f"{result.objective_value!r} != ranks=1 objective "
                 f"{single.objective_value!r}",
                 file=sys.stderr,
@@ -323,7 +380,7 @@ def main_simulate(argv=None) -> int:
         help="sweep core counts on one node (Figure 6 style)",
     )
     ap.add_argument(
-        "--lb", choices=("dimension-cut", "hyperplane"), default="dimension-cut"
+        "--lb", choices=LB_METHODS, default="dimension-cut"
     )
     ap.add_argument(
         "--timeline",
@@ -590,35 +647,7 @@ def main_racecheck(argv=None) -> int:
         "--all", action="store_true", help="check every built-in problem"
     )
     ap.add_argument("--tile-width", type=int, default=4)
-    ap.add_argument(
-        "--ranks",
-        type=int,
-        action="append",
-        default=[],
-        metavar="P",
-        help="rank count to execute at (repeatable; default: 1 2 4)",
-    )
-    ap.add_argument(
-        "--backend",
-        action="append",
-        default=[],
-        choices=("inline", "process"),
-        help="transport to execute with (repeatable; default: both); "
-        "the process backend is skipped at --ranks 1",
-    )
-    ap.add_argument(
-        "--mode",
-        choices=EXECUTION_MODES,
-        default="auto",
-    )
-    ap.add_argument(
-        "--schedule",
-        choices=("dynamic", "static"),
-        default="dynamic",
-        help="ready-set policy to execute (and sanitize) the traces "
-        "under; 'static' skips the FIFO check RPR062, whose premise "
-        "only holds for the dynamic heap",
-    )
+    _add_run_options(ap, sweep=True)
     ap.add_argument(
         "--static-only",
         action="store_true",
@@ -666,11 +695,8 @@ def main_racecheck(argv=None) -> int:
                         racecheck_execution(
                             program,
                             params,
-                            ranks=ranks,
-                            backend=backend,
-                            mode=args.mode,
+                            _run_config(args, ranks=ranks, backend=backend),
                             kernel=ensure_kernel(spec),
-                            schedule=args.schedule,
                         )
                     )
     except ReproError as exc:

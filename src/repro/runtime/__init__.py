@@ -1,6 +1,6 @@
 """In-process tiled runtime: the Python twin of the generated C program."""
 
-from .graph import Edge, TileGraph, TileIndex, build_tile_graph_dicts, tile_graph
+from .graph import Edge, TileGraph, TileIndex, tile_graph
 from .memory import EdgeMemoryTracker
 from .scheduler import (
     EVENT_KINDS,
@@ -16,10 +16,16 @@ from .scheduler import (
     rank_of_rows,
 )
 from .executor import (
+    EXECUTION_MODES,
+    LB_METHODS,
+    SPMD_BACKENDS,
     CompiledExecutor,
     ExecutionResult,
+    RunConfig,
     compiled_executor,
     execute,
+    run_spmd,
+    run_spmd_process,
     solve_reference,
 )
 from .fastpath import (
@@ -27,8 +33,8 @@ from .fastpath import (
     WavefrontRun,
     vector_unsupported_reason,
 )
-from .spmd import SPMD_BACKENDS, run_spmd, spmd_rank_assignment, validate_rank_of
-from .parallel import arena_capacities, cross_edge_slots, run_spmd_process
+from .spmd import spmd_rank_assignment, validate_rank_of
+from .parallel import arena_capacities, cross_edge_slots
 from .recover import Policy, SolutionRecovery
 from .tuner import (
     TuningDecision,
@@ -43,7 +49,6 @@ __all__ = [
     "TileIndex",
     "Edge",
     "tile_graph",
-    "build_tile_graph_dicts",
     "EdgeMemoryTracker",
     "TileScheduler",
     "SchedulePolicy",
@@ -59,6 +64,9 @@ __all__ = [
     "CompiledExecutor",
     "compiled_executor",
     "ExecutionResult",
+    "RunConfig",
+    "EXECUTION_MODES",
+    "LB_METHODS",
     "execute",
     "solve_reference",
     "VectorTileEngine",

@@ -24,8 +24,10 @@ is ``ranks=1`` over the inline transport.  Who owns what:
   compiled artifact (local-space scanner, validity-check closures, the
   array engine) and the ``mode`` dispatch, so repeated runs
   (benchmarks, calibration sweeps) stop re-deriving them;
-* :func:`execute` — the entry point: tile-width override, ``schedule=
-  "auto"`` tuning, then :func:`repro.runtime.spmd.run_spmd`;
+* :class:`RunConfig` — the run description: every option of a run,
+  validated once, before a graph, an arena or a worker exists;
+* :func:`execute` — the entry point and the single resolver: retile,
+  tune, engine, graph, partition, arenas, then one of two transports;
 * :func:`merge_payloads` — the one place a driver
   :class:`ExecutionResult` is built, for both transports.
 
@@ -39,11 +41,8 @@ Two evaluators share the turn:
   time (``"wavefront"``) or, through the same ``turn`` branch the
   interpreter takes, one tile at a time (``"vector"``).
 
-``execute(..., mode=...)`` selects among them: ``"auto"`` (default)
-runs the array engine front at a time when the program supports it and
-the interpreter otherwise; the other values force one (and raise when it
-is unsupported).  Edges follow the evaluator: the interpreter packs and
-unpacks through the generated
+:attr:`RunConfig.mode` selects among them.  Edges follow the
+evaluator: the interpreter packs and unpacks through the generated
 :class:`~repro.generator.packing.PackPlan` scans, the array engine
 through array slices of the same face slabs (byte-identical buffers).
 
@@ -55,12 +54,13 @@ solvers, and the fast path is pinned bit-identical to the interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
+from ..generator.priority import SCHEMES as PRIORITY_SCHEMES
 from ..polyhedra.compile import compile_scanner
 from ..spec import Kernel
 from .fastpath import (
@@ -68,11 +68,125 @@ from .fastpath import (
     WavefrontRun,
     vector_unsupported_reason,
 )
-from .graph import TileGraph, TileIndex
+from .graph import TileGraph, TileIndex, tile_graph
 from .memory import EdgeMemoryTracker
-from .scheduler import TileScheduler, TransitionEvent
+from .parallel import run_process
+from .scheduler import SCHEDULE_POLICIES, TileScheduler, TransitionEvent
+from .spmd import (
+    arena_capacities,
+    run_inline,
+    spmd_rank_assignment,
+    validate_rank_of,
+)
 
 EXECUTION_MODES = ("auto", "interpret", "vector", "wavefront")
+
+#: The two transports, by ``RunConfig.backend``: each takes the resolved
+#: :class:`_RunState` and returns its ranks' payloads.
+_TRANSPORTS = {"inline": run_inline, "process": run_process}
+SPMD_BACKENDS = tuple(_TRANSPORTS)
+
+#: The load balancers ``GeneratedProgram.load_balance`` dispatches on.
+LB_METHODS = ("dimension-cut", "hyperplane")
+
+#: Option name -> (what error messages call it, the values it accepts).
+_CHOICES = {
+    "mode": ("execution mode", EXECUTION_MODES),
+    "backend": ("SPMD backend", SPMD_BACKENDS),
+    "schedule": ("schedule", SCHEDULE_POLICIES + ("auto",)),
+    "priority_scheme": ("priority scheme", PRIORITY_SCHEMES),
+    "lb_method": ("load-balancing method", LB_METHODS),
+}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The description of one run: every option, checked once.
+
+    ``__post_init__`` is the only place an option value is rejected, so
+    a bad one raises the same :class:`RuntimeExecutionError` on every
+    backend before a tile graph, a shared-memory segment or a worker
+    process exists.  Frozen and hashable; all ranks of a run read the
+    same instance.  :attr:`ExecutionResult.config` carries the config
+    *as resolved* — ``mode``, ``schedule`` and ``tile_widths`` concrete
+    — so ``execute(program, params, config=result.config)`` reproduces
+    the run.
+    """
+
+    #: Evaluator and dispatch: ``"auto"`` (``"wavefront"`` when the spec
+    #: has a vector kernel and no custom kernel is given, the
+    #: interpreter otherwise), ``"interpret"`` (the scalar kernel, cell
+    #: by cell), ``"wavefront"`` (the array evaluator over a rank's
+    #: whole ready front), or ``"vector"`` (the array evaluator
+    #: dispatched tile at a time: 3.5-9.5x slower than ``wavefront`` on
+    #: the suite instances; kept for trace parity with the interpreter).
+    #: Forced modes raise when the program cannot run them.
+    mode: str = "auto"
+    #: SPMD rank count.  More than one partitions the tiles with the
+    #: load balancer — same numbers, plus per-rank accounting and
+    #: cross-rank message counts; one rank is the same loop with
+    #: nothing to exchange.
+    ranks: int = 1
+    #: The transport: ``"inline"`` (ranks interleaved cooperatively in
+    #: this thread, the deterministic oracle) or ``"process"`` (one OS
+    #: worker per rank over ``multiprocessing.shared_memory``, for real
+    #: multi-core wall-clock wins; see :mod:`repro.runtime.parallel`).
+    backend: str = "inline"
+    #: The scheduler's ready-set policy: ``"dynamic"`` (priority heaps),
+    #: ``"static"`` (precomputed wavefront levels released behind
+    #: arrival barriers), or ``"auto"`` (the simulator-driven tuner of
+    #: :mod:`repro.runtime.tuner` picks policy *and* tile widths, cached
+    #: on disk per program/params/machine).  All ranks must agree on
+    #: it: the cross-rank send/recv protocol stays FIFO-identical only
+    #: when both endpoints run the same policy.  Both policies produce
+    #: bit-identical values.
+    schedule: str = "dynamic"
+    #: How the dynamic policy orders ready tiles (one of
+    #: :data:`repro.generator.priority.SCHEMES`).
+    priority_scheme: str = "lb-first"
+    #: How the load balancer partitions tiles across ranks.
+    lb_method: str = "dimension-cut"
+    #: Tile-width override (an int applies to every loop var; a mapping
+    #: is stored as a tuple of ``(loop var, width)`` pairs): the
+    #: program is re-tiled through the generator, so pass it instead of
+    #: — not alongside — a prebuilt graph.  None keeps the spec's.
+    tile_widths: Union[None, int, Tuple[Tuple[str, int], ...]] = None
+    #: Return every computed cell in ``ExecutionResult.values`` (small
+    #: instances only).
+    record_values: bool = False
+    #: Return the scheduler's transition trace in
+    #: ``ExecutionResult.events``.
+    record_events: bool = False
+    #: Retain every packed edge after the run — O(n^(d-1)) memory
+    #: instead of the O(n^d) full space — enabling solution recovery by
+    #: on-the-fly tile recomputation (paper Section VII-A; see
+    #: :class:`repro.runtime.recover.SolutionRecovery`); works under
+    #: every mode and does not change which one runs.
+    keep_edges: bool = False
+    #: Process transport only: a worker with no progress for this many
+    #: seconds aborts itself, and the parent's overall deadline.
+    timeout: float = 300.0
+
+    def __post_init__(self) -> None:
+        for name, (label, allowed) in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise RuntimeExecutionError(
+                    f"unknown {label} {value!r}; expected one of {allowed}"
+                )
+        if self.ranks < 1:
+            raise RuntimeExecutionError(
+                f"rank count must be >= 1, got {self.ranks}"
+            )
+        if not self.timeout > 0:
+            raise RuntimeExecutionError(
+                f"timeout must be > 0 seconds, got {self.timeout}"
+            )
+        if isinstance(self.tile_widths, Mapping):
+            # The hashable form; dict() of it is the mapping again.
+            object.__setattr__(
+                self, "tile_widths", tuple(self.tile_widths.items())
+            )
 
 
 @dataclass
@@ -90,16 +204,12 @@ class ExecutionResult:
     #: (producer, consumer) — the raw material of solution recovery
     #: (paper Section VII-A).
     edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = None
-    #: What produced the numbers: "interpret", or the array engine
-    #: dispatched per tile ("vector") or per front ("wavefront");
-    #: ``keep_edges`` does not change it.
-    mode: str = "interpret"
-    #: Which SPMD transport ran the ranks: "inline" (cooperative,
-    #: single-thread — also the value for plain single-rank runs) or
-    #: "process" (one OS process per rank over shared memory).
-    backend: str = "inline"
-    #: How many SPMD ranks executed the run.
-    ranks: int = 1
+    #: The run description as resolved: ``mode`` is what produced the
+    #: numbers, ``schedule`` and ``tile_widths`` what the run actually
+    #: used (the tuner's choice under ``schedule="auto"``).  The
+    #: ``mode`` / ``backend`` / ``ranks`` / ``schedule`` /
+    #: ``tile_widths`` attributes below read it.
+    config: RunConfig = RunConfig(mode="interpret")
     #: Per-rank edge-memory snapshots (same keys as ``memory``, which
     #: aggregates across ranks).  Cells are float64 state-array elements;
     #: multiply by 8 for bytes.
@@ -112,13 +222,28 @@ class ExecutionResult:
     cross_rank_cells: int = 0
     #: With ``record_events=True``: the scheduler's transition trace.
     events: Optional[List[TransitionEvent]] = None
-    #: Which schedule policy ordered the ready set ("dynamic"/"static";
-    #: an ``execute(schedule="auto")`` run reports the tuner's choice).
-    schedule: str = "dynamic"
-    #: The tile widths the run actually used, per loop var — either the
-    #: spec's, an explicit ``tile_widths=`` override, or the tuner's
-    #: choice under ``schedule="auto"``.
-    tile_widths: Optional[Dict[str, int]] = None
+
+    @property
+    def mode(self) -> str:
+        return self.config.mode
+
+    @property
+    def backend(self) -> str:
+        return self.config.backend
+
+    @property
+    def ranks(self) -> int:
+        return self.config.ranks
+
+    @property
+    def schedule(self) -> str:
+        return self.config.schedule
+
+    @property
+    def tile_widths(self) -> Optional[Dict[str, int]]:
+        """The widths the run used, per loop var."""
+        widths = self.config.tile_widths
+        return None if widths is None else dict(widths)
 
     def value_at(self, point: Mapping[str, int], loop_vars) -> float:
         if self.values is None:
@@ -167,21 +292,25 @@ def _compile_constraints(constraints):
 
 
 class _RunState:
-    """Per-run state: the one tile body and the one rank turn.
+    """The resolved run: the one tile body and the one rank turn.
 
     The numeric half — objective bookkeeping, the optional ``values``
     record, the interpreter's reused per-point environments,
     :meth:`execute_tile` and the edge transport
     :meth:`pack_edge`/:meth:`unpack_edge` (array slices for the array
     engine, the generated :class:`~repro.generator.packing.PackPlan`
-    scans for the interpreter) — is all solution recovery needs.  A
-    driver additionally calls :meth:`begin`, after which the state owns
-    the run's :class:`~repro.runtime.scheduler.TileScheduler`, one
-    :class:`~repro.runtime.fastpath.WavefrontRun` per rank when the run
-    resolved to ``wavefront``, the retained edges and the tile order,
-    and :meth:`turn` is the only scheduling loop body in the runtime:
-    every transport, at every rank count, takes its turns through it,
-    which is what makes their numbers and traces identical.
+    scans for the interpreter) — is all solution recovery needs: it
+    builds one from its forward pass's ``result.config`` (*config*'s
+    ``mode`` must be resolved, never ``"auto"``).  A driver run also
+    carries what :func:`execute` resolved — ``graph``, ``rank_of``, the
+    per-rank ``arena_planes`` and the ``config`` every rank reads — and
+    its transport calls :meth:`begin`, after which the
+    state owns the run's :class:`~repro.runtime.scheduler.TileScheduler`,
+    one :class:`~repro.runtime.fastpath.WavefrontRun` per rank when the
+    run resolved to ``wavefront``, the retained edges and the tile
+    order, and :meth:`turn` is the only scheduling loop body in the
+    runtime: every transport, at every rank count, takes its turns
+    through it, which is what makes their numbers and traces identical.
     """
 
     def __init__(
@@ -189,21 +318,41 @@ class _RunState:
         ce: "CompiledExecutor",
         params: Dict[str, int],
         kernel: Optional[Kernel],
-        engine: Optional[VectorTileEngine],
-        record_values: bool,
-        resolved: str,
+        config: RunConfig,
+        graph: Optional[TileGraph] = None,
+        rank_of: Optional[np.ndarray] = None,
     ):
+        spec = ce.spec
+        interpret = config.mode == "interpret"
+        if interpret and kernel is None:
+            kernel = spec.kernel
+            if kernel is None:
+                raise RuntimeExecutionError(
+                    f"problem {spec.name!r} has no Python kernel; "
+                    "pass kernel="
+                )
         self.ce = ce
         self.params = params
         self.kernel = kernel
-        self.engine = engine
-        self.resolved = resolved
-        spec = ce.spec
+        self.engine = None if interpret else ce.vector_engine
+        self.config = config
+        # Read every turn: a plain attribute, not a config lookup.
+        self.resolved = config.mode
+        self.graph = graph
+        self.rank_of = rank_of
+        #: Working-buffer planes each rank's arena needs; the transport
+        #: allocates them (heap or shared memory) and hands them to
+        #: :meth:`begin`.
+        self.arena_planes: List[int] = (
+            []
+            if graph is None
+            else arena_capacities(graph, rank_of, config.ranks, config.mode)
+        )
         self.objective = spec.objective(params)
         self.objective_tile = ce.program.spaces.point_to_tile(self.objective)
         self.objective_value: Optional[float] = None
         self.values: Optional[Dict[Tuple[int, ...], float]] = (
-            {} if record_values else None
+            {} if config.record_values else None
         )
         self.cells_computed = 0
         # Reused per-point environments for the interpreter: one global
@@ -222,45 +371,36 @@ class _RunState:
         ] = None
         self.tile_order: List[TileIndex] = []
 
-    def begin(
-        self,
-        graph: TileGraph,
-        ranks: int,
-        rank_of,
-        arenas: Dict[int, np.ndarray],
-        priority_scheme: str,
-        record_events: bool,
-        schedule: str,
-        keep_edges: bool,
-    ) -> TileScheduler:
+    def begin(self, arenas: Dict[int, np.ndarray]) -> TileScheduler:
         """Attach the scheduling half of a driver run; returns the
         scheduler (seeding it is the transport's call).
 
         *arenas* maps every rank this state takes turns for to its
-        ``(planes, *padded_shape)`` float64 working buffer, sized by
-        :func:`repro.runtime.spmd.arena_capacities` — the widest front
-        for a wavefront run, one scratch plane reused by every tile
-        under per-tile dispatch.  The transport decides where it lives:
-        heap for the inline one, shared memory for the process one.
+        ``(planes, *padded_shape)`` float64 working buffer of
+        ``arena_planes[rank]`` planes — the widest front for a wavefront
+        run, one scratch plane reused by every tile under per-tile
+        dispatch.  The transport decides where it lives: heap for the
+        inline one, shared memory for the process one.
         """
+        config = self.config
         wavefront = self.resolved == "wavefront"
         self.sched = TileScheduler(
-            graph,
-            ranks=ranks,
-            rank_of=rank_of,
-            priority_scheme=priority_scheme,
-            record_events=record_events,
+            self.graph,
+            ranks=config.ranks,
+            rank_of=self.rank_of,
+            priority_scheme=config.priority_scheme,
+            record_events=config.record_events,
             batch=wavefront,
-            schedule=schedule,
+            schedule=config.schedule,
         )
         self.arenas = arenas
-        self.kept_edges = {} if keep_edges else None
+        self.kept_edges = {} if config.keep_edges else None
         if wavefront:
             self.runs = {
                 rank: WavefrontRun(
-                    self.engine, graph, self.params,
-                    rank_of=rank_of, values=self.values, arena=arena,
-                    keep_edges=keep_edges,
+                    self.engine, self.graph, self.params,
+                    rank_of=self.rank_of, values=self.values, arena=arena,
+                    keep_edges=config.keep_edges,
                 )
                 for rank, arena in arenas.items()
             }
@@ -567,11 +707,6 @@ class CompiledExecutor:
         Forced modes raise instead of degrading.  ``keep_edges`` plays
         no part: every mode can retain its packed edges.
         """
-        if mode not in EXECUTION_MODES:
-            raise RuntimeExecutionError(
-                f"unknown execution mode {mode!r}; expected one of "
-                f"{EXECUTION_MODES}"
-            )
         if mode == "interpret":
             return "interpret"
         if kernel is not None and kernel is not self.spec.kernel:
@@ -589,30 +724,6 @@ class CompiledExecutor:
             return "interpret"
         return "vector" if mode == "vector" else "wavefront"
 
-    def make_run_state(
-        self,
-        params: Dict[str, int],
-        kernel: Optional[Kernel],
-        resolved: str,
-        record_values: bool,
-    ) -> _RunState:
-        """The per-run state for one resolved mode (see
-        :class:`_RunState`): recovery recomputes tiles through its
-        ``unpack_edge``/``execute_tile``; a transport calls ``begin``
-        and then takes every rank's turns through ``turn``."""
-        if resolved == "interpret":
-            if kernel is None:
-                kernel = self.spec.kernel
-            if kernel is None:
-                raise RuntimeExecutionError(
-                    f"problem {self.spec.name!r} has no Python kernel; "
-                    "pass kernel="
-                )
-        engine = None if resolved == "interpret" else self.vector_engine
-        return _RunState(
-            self, params, kernel, engine, record_values, resolved
-        )
-
 
 def compiled_executor(program: GeneratedProgram) -> CompiledExecutor:
     """The per-program :class:`CompiledExecutor`, built once and cached."""
@@ -627,119 +738,87 @@ def execute(
     program: GeneratedProgram,
     params: Mapping[str, int],
     kernel: Optional[Kernel] = None,
-    priority_scheme: str = "lb-first",
-    record_values: bool = False,
+    *,
     graph: Optional[TileGraph] = None,
-    keep_edges: bool = False,
-    mode: str = "auto",
-    ranks: int = 1,
-    lb_method: str = "dimension-cut",
-    record_events: bool = False,
-    backend: str = "inline",
-    schedule: str = "dynamic",
-    tile_widths: Optional[Mapping[str, int]] = None,
+    rank_of: Optional[np.ndarray] = None,
+    config: Optional[RunConfig] = None,
+    **options,
 ) -> ExecutionResult:
     """Solve the problem instance and return the objective value.
 
-    *kernel* defaults to the spec's Python kernel.  *record_values*
-    additionally returns every computed cell (use only on small
-    instances).  A prebuilt *graph* can be passed to amortize graph
-    construction across runs with identical parameters.  *keep_edges*
-    retains every packed edge after the run — O(n^(d-1)) memory instead
-    of the O(n^d) full space — enabling solution recovery by on-the-fly
-    tile recomputation (paper Section VII-A; see
-    :class:`repro.runtime.recover.SolutionRecovery`); it works under
-    every mode and does not change which one runs.  *mode* selects the
-    evaluator and how it is dispatched: ``"auto"`` (``"wavefront"`` when
-    the spec has a vector kernel and no custom *kernel* is given, the
-    interpreter otherwise), ``"interpret"`` (the scalar kernel, cell by
-    cell), ``"wavefront"`` (the array evaluator over a rank's whole
-    ready front), or ``"vector"`` (the array evaluator dispatched tile
-    at a time: 3.5-9.5x slower than ``wavefront`` on the suite
-    instances; kept for trace parity with the interpreter).  Forced
-    modes raise when this program cannot run them.  *ranks* > 1
-    partitions the tiles with the load balancer (*lb_method*) — same
-    numbers, plus per-rank accounting and cross-rank message counts; the
-    default single rank is the same loop with nothing to exchange.
-    *record_events* returns the scheduler's transition trace in
-    ``ExecutionResult.events``.
-    *backend* selects the multi-rank transport: ``"inline"`` (default — ranks interleaved cooperatively
-    in this thread, the deterministic oracle) or ``"process"`` (one OS
-    worker process per rank over ``multiprocessing.shared_memory``
-    ghost arrays, for real multi-core wall-clock wins; see
-    :mod:`repro.runtime.parallel`).  *schedule* selects the scheduler's
-    ready-set policy: ``"dynamic"`` (priority heaps, the default),
-    ``"static"`` (precomputed wavefront levels released behind arrival
-    barriers), or ``"auto"`` (the simulator-driven tuner of
-    :mod:`repro.runtime.tuner` picks policy *and* tile widths, cached
-    on disk per program/params/machine).  *tile_widths* overrides the
-    spec's widths for this run (an int applies to every loop var); the
-    program is re-tiled through the generator, so pass it instead of —
-    not alongside — a prebuilt *graph*.  Both policies produce
-    bit-identical values; the chosen policy and widths are reported in
-    ``ExecutionResult.schedule``/``tile_widths``.
+    *kernel* defaults to the spec's Python kernel.  A prebuilt *graph*
+    can be passed to amortize graph construction across runs with
+    identical parameters.  *rank_of* is an explicit per-row rank
+    assignment overriding the load balancer (tests probe pathological
+    partitions with it).  Everything else about the run is a
+    :class:`RunConfig` field: pass a *config*, field values as keywords
+    (``mode=``, ``ranks=``, ...), or both — keywords override the
+    config's fields.
+
+    This is the single resolver.  In order: validate (constructing the
+    config), retile, tune (``schedule="auto"``), engine, graph,
+    partition, arena plane counts — then the transport
+    ``config.backend`` names takes the resolved :class:`_RunState`.  The
+    result's per-rank fields (``memory_per_rank``, ``tiles_per_rank``,
+    ``cross_rank_messages``) are filled in at every rank count;
+    ``tile_order`` is a valid topological order of the tile DAG.
     """
-    if schedule not in ("dynamic", "static", "auto"):
-        raise RuntimeExecutionError(
-            f"unknown schedule {schedule!r}; expected 'dynamic', "
-            "'static', or 'auto'"
-        )
-    if tile_widths is not None:
-        from .tuner import normalize_tile_widths, retile_program
+    from .tuner import retile_program, tune  # tuner -> simulate -> runtime
 
-        widths = normalize_tile_widths(program.spec, tile_widths)
-        if widths != dict(program.spec.tile_widths):
-            if graph is not None:
-                raise RuntimeExecutionError(
-                    "a prebuilt graph fixes the tiling; pass either "
-                    "graph= or tile_widths=, not both"
-                )
-            program = retile_program(program, widths)
-    if schedule == "auto":
-        from .tuner import retile_program, tune
-
+    config = replace(config or RunConfig(), **options)
+    if config.tile_widths is not None:
+        retiled = retile_program(program, config.tile_widths)
+        if retiled is not program and graph is not None:
+            raise RuntimeExecutionError(
+                "a prebuilt graph fixes the tiling; pass either "
+                "graph= or tile_widths=, not both"
+            )
+        program = retiled
+    if config.schedule == "auto":
         # A prebuilt graph (or explicit widths) pins the tiling — the
-        # tuner then only chooses the policy for the current widths.
-        pin_widths = graph is not None or tile_widths is not None
+        # tuner then only chooses the policy for those widths.
+        pinned = graph is not None or config.tile_widths is not None
         decision = tune(
             program,
             params,
             quick=True,
             tile_width_candidates=(
-                [dict(program.spec.tile_widths)] if pin_widths else None
+                [dict(program.spec.tile_widths)] if pinned else None
             ),
         )
-        schedule = decision.schedule
-        if decision.tile_widths != dict(program.spec.tile_widths):
-            program = retile_program(program, decision.tile_widths)
-    from .spmd import run_spmd
-
-    return run_spmd(
-        program,
-        params,
-        ranks=ranks,
-        kernel=kernel,
-        priority_scheme=priority_scheme,
-        record_values=record_values,
-        graph=graph,
-        keep_edges=keep_edges,
-        mode=mode,
-        lb_method=lb_method,
-        record_events=record_events,
-        backend=backend,
-        schedule=schedule,
+        config = replace(config, schedule=decision.schedule)
+        program = retile_program(program, decision.tile_widths)
+    ce = compiled_executor(program)
+    config = replace(
+        config,
+        mode=ce.resolve_mode(config.mode, kernel),
+        tile_widths=program.spec.tile_widths,
     )
+    params = dict(params)
+    if graph is None:
+        graph = tile_graph(program, params)
+    if rank_of is None:
+        rank_of = spmd_rank_assignment(
+            program, params, graph, config.ranks, config.lb_method
+        )
+    else:
+        rank_of = validate_rank_of(rank_of, graph, config.ranks)
+    state = _RunState(ce, params, kernel, config, graph, rank_of)
+    return merge_payloads(state, _TRANSPORTS[config.backend](state))
+
+
+def run_spmd(program, params, ranks, **options) -> ExecutionResult:
+    """``execute(program, params, ranks=ranks, ...)`` under its old name."""
+    return execute(program, params, ranks=ranks, **options)
+
+
+def run_spmd_process(program, params, ranks, **options) -> ExecutionResult:
+    """``execute(..., ranks=ranks, backend="process")`` under its old name."""
+    return execute(program, params, ranks=ranks, backend="process", **options)
 
 
 def merge_payloads(
-    program: GeneratedProgram,
-    params: Dict[str, int],
-    graph: TileGraph,
-    resolved: str,
-    ranks: int,
-    backend: str,
-    schedule: str,
-    payloads: List[Dict[str, object]],
+    state: _RunState, payloads: List[Dict[str, object]]
 ) -> ExecutionResult:
     """Fold :meth:`_RunState.payload` dicts into the run's result.
 
@@ -749,6 +828,7 @@ def merge_payloads(
     zero); tile orders, values, retained edges and event traces
     concatenate in payload order, events renumbered.
     """
+    graph = state.graph
     cells = sum(p["cells"] for p in payloads)
     if cells != graph.total_work():
         raise RuntimeExecutionError(
@@ -771,7 +851,7 @@ def merge_payloads(
         sum(tiles) for tiles in zip(*(p["tiles_per_rank"] for p in payloads))
     ]
     return ExecutionResult(
-        objective_point=program.spec.objective(params),
+        objective_point=state.objective,
         objective_value=next(
             (
                 p["objective_value"]
@@ -788,9 +868,7 @@ def merge_payloads(
         ),
         values=values,
         edges=edges,
-        mode=resolved,
-        backend=backend,
-        ranks=ranks,
+        config=state.config,
         memory_per_rank=[
             EdgeMemoryTracker.merge_snapshots(snaps)
             for snaps in zip(*(p["memory_per_rank"] for p in payloads))
@@ -799,8 +877,6 @@ def merge_payloads(
         cross_rank_messages=sum(p["cross_rank_messages"] for p in payloads),
         cross_rank_cells=sum(p["cross_rank_cells"] for p in payloads),
         events=events,
-        schedule=schedule,
-        tile_widths=dict(program.spec.tile_widths),
     )
 
 

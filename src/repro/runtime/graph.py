@@ -41,7 +41,6 @@ import numpy as np
 from ..errors import RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
 from ..generator.priority import make_priority_array
-from ..generator.tile_deps import delta_between
 
 TileIndex = Tuple[int, ...]
 Edge = Tuple[TileIndex, TileIndex]  # (producer, consumer)
@@ -169,62 +168,6 @@ class TileGraph:
             cons_rows=cons_e[order2],
             cons_delta=did_e[order2],
             cons_cells=cell_e[order2],
-        )
-
-    @staticmethod
-    def from_dicts(
-        program: GeneratedProgram,
-        params: Mapping[str, int],
-        tiles: Set[TileIndex],
-        producers: Mapping[TileIndex, Tuple[TileIndex, ...]],
-        work: Mapping[TileIndex, int],
-        edge_cells: Mapping[Edge, int],
-    ) -> "TileGraph":
-        """Canonicalize a dict-shaped graph (the legacy builder's output).
-
-        Used by tests and benchmarks to run the executor/simulator off
-        the dict-based path; the arrays come out in the same canonical
-        order :meth:`build` produces, so schedules are directly
-        comparable.
-        """
-        tile_list = sorted(tiles)
-        tile_array = np.asarray(tile_list, dtype=np.int64)
-        T = len(tile_list)
-        row = {t: r for r, t in enumerate(tile_list)}
-        work_array = np.asarray([work[t] for t in tile_list], dtype=np.int64)
-        delta_pos = {d: i for i, d in enumerate(program.deltas)}
-        cons_e: List[int] = []
-        prod_e: List[int] = []
-        did_e: List[int] = []
-        cell_e: List[int] = []
-        for t in tile_list:
-            for p in producers[t]:
-                cons_e.append(row[t])
-                prod_e.append(row[p])
-                did_e.append(delta_pos[delta_between(t, p)])
-                cell_e.append(edge_cells[(p, t)])
-        cons_a = np.asarray(cons_e, dtype=np.int64)
-        prod_a = np.asarray(prod_e, dtype=np.int64)
-        did_a = np.asarray(did_e, dtype=np.int64)
-        cell_a = np.asarray(cell_e, dtype=np.int64)
-        order = np.lexsort((did_a, cons_a))
-        prod_ptr = np.zeros(T + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cons_a, minlength=T), out=prod_ptr[1:])
-        order2 = np.lexsort((cons_a, prod_a))
-        cons_ptr = np.zeros(T + 1, dtype=np.int64)
-        np.cumsum(np.bincount(prod_a, minlength=T), out=cons_ptr[1:])
-        return TileGraph(
-            program=program,
-            params=dict(params),
-            tile_array=tile_array,
-            work_array=work_array,
-            prod_ptr=prod_ptr,
-            prod_rows=prod_a[order],
-            prod_delta=did_a[order],
-            cons_ptr=cons_ptr,
-            cons_rows=cons_a[order2],
-            cons_delta=did_a[order2],
-            cons_cells=cell_a[order2],
         )
 
     # -- array-level accessors (the executor/simulator interface) ------------
@@ -572,58 +515,6 @@ class _RowIndex:
             )
         ok = target >= 0
         return rows[ok], target[ok]
-
-
-def build_tile_graph_dicts(
-    program: GeneratedProgram, params: Mapping[str, int]
-):
-    """The legacy dict-based builder, kept as the reference oracle.
-
-    Enumerates tiles one by one and probes dicts per tile/edge — the
-    pre-array-native algorithm, deterministic (tiles scanned in sorted
-    order).  Returns ``(tiles, producers, consumers, work, edge_cells)``
-    dicts matching the :class:`TileGraph` views field for field; tests
-    assert the equality, benchmarks time the gap.
-    """
-    params = dict(params)
-    spaces = program.spaces
-    deltas = program.deltas
-    tiles = set(spaces.tiles(params))
-    if not tiles:
-        raise RuntimeExecutionError(
-            f"problem {program.spec.name!r} has no tiles for params {params}"
-        )
-    producers: Dict[TileIndex, Tuple[TileIndex, ...]] = {}
-    consumers: Dict[TileIndex, List[TileIndex]] = {t: [] for t in sorted(tiles)}
-    for tile in sorted(tiles):
-        prods = []
-        for delta in deltas:
-            p = tuple(t + d for t, d in zip(tile, delta))
-            if p in tiles:
-                prods.append(p)
-                consumers[p].append(tile)
-        producers[tile] = tuple(prods)
-
-    work: Dict[TileIndex, int] = {
-        t: spaces.tile_point_count(t, params) for t in sorted(tiles)
-    }
-
-    edge_cells: Dict[Edge, int] = {}
-    for consumer in sorted(tiles):
-        for producer in producers[consumer]:
-            delta = delta_between(consumer, producer)
-            plan = program.pack_plans[delta]
-            env = dict(params)
-            env.update(spaces.tile_env(producer))
-            edge_cells[(producer, consumer)] = plan.region_size(env)
-
-    return (
-        tiles,
-        producers,
-        {t: tuple(c) for t, c in consumers.items()},
-        work,
-        edge_cells,
-    )
 
 
 def tile_graph(

@@ -11,13 +11,13 @@ turn the inline transport takes, and what lives here is the transport —
 ``_idle_wait``, the shared-memory segments, the fork, and the parent
 that collects the per-rank payloads:
 
-* **Workers fork, artifacts are inherited.**  The parent resolves the
-  engine, builds the tile graph, the rank assignment and every compiled
-  artifact *before* forking (:func:`repro.runtime.spmd.resolve_run`),
-  so each worker shares them copy-on-write — no pickling of programs,
-  kernels or CSR arrays.  Each worker drives its own
-  :class:`~repro.runtime.scheduler.TileScheduler`, seeded with its
-  rank's tiles only.
+* **Workers fork, the resolved run is inherited.**  :func:`run_process`
+  receives the run :func:`repro.runtime.executor.execute` already
+  resolved — engine, tile graph, rank assignment, config — and touches
+  every compiled artifact *before* forking, so each worker shares them
+  copy-on-write — no pickling of programs, kernels or CSR arrays.  Each
+  worker attaches its own :class:`~repro.runtime.scheduler.TileScheduler`
+  to its copy of the state, seeded with its rank's tiles only.
 
 * **Working arrays live in ``multiprocessing.shared_memory``.**  The
   parent creates one segment per cross-rank ``(src, dst)`` channel —
@@ -44,8 +44,8 @@ that collects the per-rank payloads:
   multiplexes result pipes with every worker's ``sentinel``; a worker
   that exits without reporting raises a
   :class:`~repro.errors.RuntimeExecutionError` naming the rank, a
-  worker that makes no progress for *timeout* seconds aborts itself,
-  and the parent enforces an overall deadline.  Every exit path
+  worker that makes no progress for ``config.timeout`` seconds aborts
+  itself, and the parent enforces an overall deadline.  Every exit path
   terminates stragglers and unlinks the segments.
 
 The inline transport stays the deterministic oracle: objective values,
@@ -68,27 +68,24 @@ from dataclasses import dataclass
 from functools import partial
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import RuntimeExecutionError
-from ..generator.pipeline import GeneratedProgram
-from ..spec import Kernel
-from .executor import ExecutionResult, compiled_executor, merge_payloads
 from .graph import TileGraph
 from .scheduler import TileScheduler, TransitionEvent
-from .spmd import arena_capacities, resolve_run
+from .spmd import arena_capacities
 
-__all__ = ["run_spmd_process", "cross_edge_slots", "arena_capacities"]
+if TYPE_CHECKING:
+    from .executor import _RunState
+
+__all__ = ["run_process", "cross_edge_slots", "arena_capacities"]
 
 #: Environment variable naming the worker's rank inside worker
 #: processes — set before any tile executes, so kernels and tests can
 #: observe (or sabotage) a specific rank.
 RANK_ENV_VAR = "REPRO_SPMD_RANK"
-
-#: Default no-progress / overall deadline in seconds.
-DEFAULT_TIMEOUT = 300.0
 
 #: How long an idle worker blocks on its inbound channels per turn.
 _POLL_S = 0.05
@@ -165,31 +162,23 @@ class _SegmentPool:
 
 @dataclass
 class _WorkerContext:
-    """Everything one worker needs, inherited through fork (no pickling)."""
+    """One worker's transport state, inherited through fork (no
+    pickling).  What the run *is* — program, graph, partition, config —
+    is ``state``; nothing here repeats it."""
 
-    program: GeneratedProgram
-    graph: TileGraph
-    params: Dict[str, int]
-    ranks: int
-    rank_of: List[int]
-    resolved: str
-    kernel: Optional[Kernel]
-    priority_scheme: str
-    record_values: bool
-    record_events: bool
-    keep_edges: bool
+    #: The resolved run; the worker calls ``begin`` on its forked copy.
+    state: "_RunState"
     slots: Dict[Tuple[int, int], Tuple[int, int, int, int]]
     channel_views: Dict[Tuple[int, int], np.ndarray]
     in_conns: Dict[int, mp_connection.Connection]
     out_conns: Dict[int, mp_connection.Connection]
     result_conn: mp_connection.Connection
     arena: np.ndarray
-    timeout: float
     parent_pid: int
     #: Messages this worker must receive per source rank (static, from
     #: the slot layout); a channel hitting EOF while still owed messages
     #: means the peer died mid-protocol — abort immediately instead of
-    #: starving until *timeout*.
+    #: starving until the timeout.
     expected_in: Dict[int, int]
     recv_counts: Dict[int, int]
     #: Other ranks' channel-pipe ends, inherited at fork.  The worker
@@ -197,11 +186,6 @@ class _WorkerContext:
     #: by its owning endpoints, or the reader never sees EOF when its
     #: peer dies and the fast-abort above can't fire.
     foreign_conns: Tuple[mp_connection.Connection, ...] = ()
-    #: Schedule policy every worker builds its scheduler with.  All
-    #: ranks must agree: the policy decides when tiles leave the ready
-    #: set, and the cross-rank send/recv protocol stays FIFO-identical
-    #: only when both endpoints run the same policy.
-    schedule: str = "dynamic"
 
 
 def _post_edge(ctx: _WorkerContext, rank: int, dest: int, row: int,
@@ -262,10 +246,11 @@ def _drain_inbox(ctx: _WorkerContext, sched: TileScheduler) -> bool:
 
 def _idle_wait(ctx: _WorkerContext, rank: int, last_progress: float) -> None:
     """Block until a message may have arrived; abort on starvation."""
-    if time.monotonic() - last_progress > ctx.timeout:
+    timeout = ctx.state.config.timeout
+    if time.monotonic() - last_progress > timeout:
         raise RuntimeExecutionError(
             f"rank {rank} starved: no ready tiles and no inbound edges "
-            f"for {ctx.timeout:.0f}s"
+            f"for {timeout:.0f}s"
         )
     if os.getppid() != ctx.parent_pid:
         raise RuntimeExecutionError(
@@ -301,23 +286,12 @@ def _worker_run(
     the partial trace it recorded — the sanitizer's killed-worker
     classification depends on it.
     """
-    state = compiled_executor(ctx.program).make_run_state(
-        ctx.params, ctx.kernel, ctx.resolved, ctx.record_values
-    )
-    sched = state.begin(
-        ctx.graph,
-        ctx.ranks,
-        ctx.rank_of,
-        {rank: ctx.arena},
-        ctx.priority_scheme,
-        ctx.record_events,
-        ctx.schedule,
-        ctx.keep_edges,
-    )
+    state = ctx.state
+    sched = state.begin({rank: ctx.arena})
     if trace_out is not None:
         trace_out.append(sched.events)
-    _seed_rank(sched, ctx.graph, rank)
-    my_total = sum(1 for r in ctx.rank_of if r == rank)
+    _seed_rank(sched, state.graph, rank)
+    my_total = sched.rank_of.count(rank)
     post = partial(_post_edge, ctx)
 
     last_progress = time.monotonic()
@@ -480,29 +454,13 @@ def _collect_results(
     return results
 
 
-def run_spmd_process(
-    program: GeneratedProgram,
-    params: Mapping[str, int],
-    ranks: int,
-    kernel: Optional[Kernel] = None,
-    priority_scheme: str = "lb-first",
-    record_values: bool = False,
-    graph: Optional[TileGraph] = None,
-    keep_edges: bool = False,
-    mode: str = "auto",
-    lb_method: str = "dimension-cut",
-    record_events: bool = False,
-    rank_of: Optional[np.ndarray] = None,
-    timeout: float = DEFAULT_TIMEOUT,
-    schedule: str = "dynamic",
-) -> ExecutionResult:
-    """Execute across *ranks* real worker processes over shared memory.
+def run_process(state: "_RunState") -> List[Dict[str, object]]:
+    """Run each rank of the resolved *state* as a real worker process
+    over shared memory; returns the workers' payloads in rank order.
 
-    Same signature surface as :func:`repro.runtime.spmd.run_spmd` plus
-    *timeout*, the no-progress/overall deadline in seconds.  Objective
-    values, recorded cells and cross-rank message counts are identical
-    to the inline backend (and therefore to ``ranks=1``); see the
-    module docstring for the two result-shape deviations
+    Objective values, recorded cells and cross-rank message counts are
+    identical to the inline backend (and therefore to ``ranks=1``); see
+    the module docstring for the two result-shape deviations
     (``tile_order`` grouping and aggregate ``memory``).
     """
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -512,10 +470,8 @@ def run_spmd_process(
             "write); use backend='inline' on this platform"
         )
     mp_ctx = multiprocessing.get_context("fork")
-    ce, resolved, params, graph, rank_of, caps = resolve_run(
-        program, params, ranks, kernel, graph, mode, lb_method, rank_of
-    )
-    rank_list = [int(r) for r in rank_of]
+    config, graph, rank_of = state.config, state.graph, state.rank_of
+    ranks, schedule = config.ranks, config.schedule
 
     # Touch every shared compiled artifact *before* forking so workers
     # inherit it copy-on-write instead of re-deriving it P times.
@@ -525,15 +481,13 @@ def run_spmd_process(
         # every worker's scheduler.
         graph.wavefront_levels()
         graph.dependency_count_array()
-    if resolved != "interpret":
-        ce.vector_engine
-    if resolved == "wavefront":
+    if state.resolved == "wavefront":
         graph.wavefront_levels()
     elif schedule == "dynamic":
-        graph.priority_tuples(priority_scheme)
+        graph.priority_tuples(config.priority_scheme)
 
     channel_cells, slots = cross_edge_slots(graph, rank_of)
-    padded_shape = tuple(program.layout.padded_shape)
+    padded_shape = tuple(state.ce.program.layout.padded_shape)
     expected_in_all: Dict[int, Dict[int, int]] = {r: {} for r in range(ranks)}
     for (src, dst) in channel_cells:
         expected_in_all[dst][src] = 0
@@ -567,28 +521,16 @@ def run_spmd_process(
             result_conns[r] = recv_end
 
             ctx = _WorkerContext(
-                program=program,
-                graph=graph,
-                params=params,
-                ranks=ranks,
-                rank_of=rank_list,
-                resolved=resolved,
-                kernel=kernel,
-                priority_scheme=priority_scheme,
-                record_values=record_values,
-                record_events=record_events,
-                keep_edges=keep_edges,
+                state=state,
                 slots=slots,
                 channel_views=channel_views,
                 in_conns=in_conns[r],
                 out_conns=out_conns[r],
                 result_conn=send_end,
-                arena=pool.allocate((caps[r],) + padded_shape),
-                timeout=timeout,
+                arena=pool.allocate((state.arena_planes[r],) + padded_shape),
                 parent_pid=os.getpid(),
                 expected_in=expected_in_all[r],
                 recv_counts={src: 0 for src in expected_in_all[r]},
-                schedule=schedule,
                 foreign_conns=tuple(
                     conn
                     for conn in parent_conns
@@ -612,7 +554,7 @@ def run_spmd_process(
         for conn in parent_conns:
             conn.close()
 
-        payloads = _collect_results(procs, result_conns, timeout)
+        payloads = _collect_results(procs, result_conns, config.timeout)
         parent_conns.extend(result_conns.values())
         for proc in procs.values():
             proc.join(timeout=10.0)
@@ -638,7 +580,4 @@ def run_spmd_process(
             f"{messages} cross-rank messages were received but the "
             f"rank assignment cuts {len(slots)} edges"
         )
-    return merge_payloads(
-        program, params, graph, resolved, ranks, "process", schedule,
-        [payloads[r] for r in sorted(payloads)],
-    )
+    return [payloads[r] for r in sorted(payloads)]

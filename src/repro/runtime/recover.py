@@ -42,7 +42,7 @@ import numpy as np
 from ..errors import RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
 from ..spec import Kernel
-from .executor import compiled_executor, execute
+from .executor import _RunState, compiled_executor, execute
 from .graph import TileIndex, tile_graph
 
 Point = Tuple[int, ...]
@@ -89,8 +89,8 @@ class SolutionRecovery:
         # The executor's tile body and edge transport, under the engine
         # the forward pass ran.
         self._compiled = compiled_executor(program)
-        self._state = self._compiled.make_run_state(
-            self.params, self.kernel, self.result.mode, record_values=False
+        self._state = _RunState(
+            self._compiled, self.params, self.kernel, self.result.config
         )
 
     # -- tile recomputation -------------------------------------------------

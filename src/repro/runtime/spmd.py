@@ -1,11 +1,12 @@
 """The inline SPMD transport, and what both transports share (paper
 Sections V–VI, end to end).
 
-Every ``execute(...)`` lands in :func:`run_spmd`.  It runs the *whole*
-generated pipeline the way the emitted hybrid C program would on an MPI
-cluster, entirely in-process: the load balancer's Ehrhart-balanced
-assignment partitions the tiles into P ranks, the ranks take turns
-round-robin through the one scheduling loop body
+:func:`repro.runtime.executor.execute` hands its resolved run to
+:func:`run_inline` unless ``backend="process"`` was asked for.  It runs
+the *whole* generated pipeline the way the emitted hybrid C program would
+on an MPI cluster, entirely in-process: the load balancer's
+Ehrhart-balanced assignment partitions the tiles into P ranks, the ranks
+take turns round-robin through the one scheduling loop body
 (:meth:`repro.runtime.executor._RunState.turn` — one tile per turn, or
 one ready front when the run resolved to ``wavefront``) against one
 shared scheduler, and every edge that crosses a rank boundary travels
@@ -25,15 +26,14 @@ mirrors the generated C's MPI protocol:
   time, exactly like the generated program.
 
 This module owns those two functions (``drain_inbox`` and ``post``,
-closures of :func:`run_spmd` over its FIFO deques), the round-robin
+closures of :func:`run_inline` over its FIFO deques), the round-robin
 loop with its deadlock check, and each rank's heap working arena.  A
 plain single-rank run is ``ranks=1`` of exactly this: no channel
 exists, so neither function is ever reached.  It also owns what the
-process transport (:mod:`repro.runtime.parallel`) needs identically
-before its first turn — the rank assignment
-(:func:`spmd_rank_assignment`, :func:`validate_rank_of`), the arena
-sizing rule (:func:`arena_capacities`) and :func:`resolve_run`, which
-settles engine, graph and partition and rejects a bad rank count.
+resolver settles identically for either transport before the first
+turn — the rank assignment (:func:`spmd_rank_assignment`,
+:func:`validate_rank_of`) and the arena sizing rule
+(:func:`arena_capacities`).
 
 The interleaving is deterministic, so the transition-event trace is
 reproducible byte for byte.  Because every tile's numerics depend only
@@ -46,29 +46,24 @@ exactly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from ..errors import RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
-from ..spec import Kernel
-from .executor import ExecutionResult, compiled_executor, merge_payloads
-from .graph import TileGraph, tile_graph
+from .graph import TileGraph
 from .scheduler import rank_of_rows
 
+if TYPE_CHECKING:
+    from .executor import _RunState
+
 __all__ = [
-    "run_spmd",
+    "run_inline",
     "spmd_rank_assignment",
     "validate_rank_of",
     "arena_capacities",
 ]
-
-#: The two transports a multi-rank run can use: ``inline`` interleaves
-#: ranks cooperatively in this thread (deterministic, the oracle);
-#: ``process`` runs each rank as a real ``multiprocessing`` worker over
-#: shared-memory segments (:mod:`repro.runtime.parallel`).
-SPMD_BACKENDS = ("inline", "process")
 
 
 def validate_rank_of(
@@ -158,113 +153,20 @@ def arena_capacities(
     return caps
 
 
-def resolve_run(
-    program: GeneratedProgram,
-    params: Mapping[str, int],
-    ranks: int,
-    kernel: Optional[Kernel],
-    graph: Optional[TileGraph],
-    mode: str,
-    lb_method: str,
-    rank_of: Optional[np.ndarray],
-):
-    """What every transport settles before its first turn.
+def run_inline(state: "_RunState") -> List[Dict[str, object]]:
+    """Take every rank's turns round-robin in this thread.
 
-    Returns ``(compiled executor, resolved mode, params, graph,
-    rank_of, arena plane counts)``; a rank count below 1, an engine the
-    program cannot run and a malformed *rank_of* all fail here, before
-    any scheduling state (or worker process) exists.
+    Cooperative and deterministic — the oracle the process transport is
+    pinned against; ``tile_order`` is the global interleaved execution
+    order.  Returns the one payload covering every rank.
     """
-    if ranks < 1:
-        raise RuntimeExecutionError(f"rank count must be >= 1, got {ranks}")
-    ce = compiled_executor(program)
-    resolved = ce.resolve_mode(mode, kernel)
-    params = dict(params)
-    if graph is None:
-        graph = tile_graph(program, params)
-    if rank_of is None:
-        rank_of = spmd_rank_assignment(
-            program, params, graph, ranks, lb_method=lb_method
-        )
-    else:
-        rank_of = validate_rank_of(rank_of, graph, ranks)
-    caps = arena_capacities(graph, rank_of, ranks, resolved)
-    return ce, resolved, params, graph, rank_of, caps
-
-
-def run_spmd(
-    program: GeneratedProgram,
-    params: Mapping[str, int],
-    ranks: int,
-    kernel: Optional[Kernel] = None,
-    priority_scheme: str = "lb-first",
-    record_values: bool = False,
-    graph: Optional[TileGraph] = None,
-    keep_edges: bool = False,
-    mode: str = "auto",
-    lb_method: str = "dimension-cut",
-    record_events: bool = False,
-    rank_of: Optional[np.ndarray] = None,
-    backend: str = "inline",
-    schedule: str = "dynamic",
-) -> ExecutionResult:
-    """Execute the program across *ranks* SPMD ranks.
-
-    Same signature surface as :func:`repro.runtime.executor.execute`
-    (which always lands here; a plain single-rank run is ``ranks=1``
-    over the inline transport, with no channel to drain) plus
-    *lb_method* (how tiles are partitioned) and *rank_of* (an
-    explicit per-row rank assignment overriding the load balancer —
-    used by tests to probe pathological partitions).  Returns an
-    :class:`ExecutionResult` whose per-rank fields
-    (``memory_per_rank``, ``tiles_per_rank``, ``cross_rank_messages``)
-    are filled in; ``tile_order`` is the global interleaved execution
-    order, a valid topological order of the tile DAG.
-
-    *backend* selects the transport: ``"inline"`` (this module — ranks
-    interleaved cooperatively in one thread, the deterministic oracle)
-    or ``"process"`` (:mod:`repro.runtime.parallel` — one OS process
-    per rank over shared-memory segments, for real wall-clock
-    parallelism; its ``tile_order`` is per-rank-grouped rather than a
-    global interleaving).
-    """
-    if backend not in SPMD_BACKENDS:
-        raise RuntimeExecutionError(
-            f"unknown SPMD backend {backend!r}; expected one of "
-            f"{SPMD_BACKENDS}"
-        )
-    if backend == "process":
-        from .parallel import run_spmd_process
-
-        return run_spmd_process(
-            program,
-            params,
-            ranks=ranks,
-            kernel=kernel,
-            priority_scheme=priority_scheme,
-            record_values=record_values,
-            graph=graph,
-            keep_edges=keep_edges,
-            mode=mode,
-            lb_method=lb_method,
-            record_events=record_events,
-            rank_of=rank_of,
-            schedule=schedule,
-        )
-    ce, resolved, params, graph, rank_of, caps = resolve_run(
-        program, params, ranks, kernel, graph, mode, lb_method, rank_of
-    )
-    padded_shape = tuple(program.layout.padded_shape)
-    state = ce.make_run_state(params, kernel, resolved, record_values)
+    ranks = state.config.ranks
+    padded_shape = tuple(state.ce.program.layout.padded_shape)
     sched = state.begin(
-        graph,
-        ranks,
-        rank_of,
-        {r: np.empty((cap,) + padded_shape) for r, cap in enumerate(caps)},
-        priority_scheme,
-        record_events,
-        schedule,
-        keep_edges,
+        {
+            r: np.empty((planes,) + padded_shape)
+            for r, planes in enumerate(state.arena_planes)
+        }
     )
     sched.seed()
 
@@ -296,7 +198,7 @@ def run_spmd(
         sched.send_edge(row, consumer, buffer, len(buffer))
         channels[(rank, dest)].append(consumer)
 
-    T = len(graph.tile_tuples)
+    T = len(sched.tile_tuples)
     while sched.finished < T:
         progress = False
         for rank in range(ranks):
@@ -316,7 +218,4 @@ def run_spmd(
             f"{undelivered} cross-rank messages were never received"
         )
     sched.verify_drained()
-    return merge_payloads(
-        program, params, graph, resolved, ranks, "inline", schedule,
-        [state.payload()],
-    )
+    return [state.payload()]

@@ -40,7 +40,17 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import PolyhedronError, ReproError, RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram, generate
@@ -71,6 +81,11 @@ TUNING_CACHE_VERSION = 1
 #: Environment override for the registry location (CI points this at a
 #: workspace-local file; tests at tmp paths).
 CACHE_ENV_VAR = "REPRO_TUNE_CACHE"
+
+#: A tile-width override: one width for every loop var, a (partial)
+#: per-var mapping, or that mapping's ``(loop var, width)`` pairs — the
+#: hashable form :class:`repro.runtime.executor.RunConfig` stores.
+TileWidths = Union[int, Mapping[str, int], Iterable[Tuple[str, int]]]
 
 #: How many tiles the width heuristic aims for: enough parallelism for
 #: any bundled machine shape, small enough that per-tile overhead stays
@@ -183,17 +198,23 @@ def default_cache_path() -> Path:
 
 def normalize_tile_widths(
     spec: ProblemSpec,
-    tile_widths: Union[int, Mapping[str, int]],
+    tile_widths: TileWidths,
 ) -> Dict[str, int]:
     """Canonicalize a width override to a full per-loop-var dict.
 
-    An int applies to every loop var; a partial mapping inherits the
-    spec's current width for missing vars.  Unknown names raise.
+    An int applies to every loop var; a partial mapping (or its
+    ``(loop var, width)`` pairs) inherits the spec's current width for
+    missing vars.  Unknown names raise.
     """
     if isinstance(tile_widths, int):
         return {v: int(tile_widths) for v in spec.loop_vars}
     widths = {v: int(spec.tile_widths[v]) for v in spec.loop_vars}
-    for name, w in tile_widths.items():
+    pairs: Iterable[Tuple[str, int]] = (
+        tile_widths.items()
+        if isinstance(tile_widths, Mapping)
+        else tile_widths
+    )
+    for name, w in pairs:
         if name not in widths:
             raise RuntimeExecutionError(
                 f"tile_widths names unknown loop var {name!r}; "
@@ -277,7 +298,7 @@ def candidate_tile_widths(
 
 def retile_program(
     program: GeneratedProgram,
-    tile_widths: Union[int, Mapping[str, int]],
+    tile_widths: TileWidths,
 ) -> GeneratedProgram:
     """The same problem re-generated with different tile widths.
 

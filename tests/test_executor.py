@@ -1,5 +1,7 @@
 """The tiled in-process runtime vs independent reference solvers."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import RuntimeExecutionError
@@ -14,6 +16,7 @@ from repro.problems import (
     two_arm_spec,
 )
 from repro.runtime import (
+    RunConfig,
     TileGraph,
     execute,
     run_spmd,
@@ -237,6 +240,85 @@ class TestRankCount:
             RuntimeExecutionError, match="rank count must be >= 1"
         ):
             entry(bandit2_program, {"N": 5}, ranks=ranks)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"mode": "simd"}, "unknown execution mode 'simd'"),
+            ({"backend": "threads"}, "unknown SPMD backend 'threads'"),
+            ({"schedule": "greedy"}, "unknown schedule 'greedy'"),
+            ({"priority_scheme": "bogus"}, "unknown priority scheme 'bogus'"),
+            ({"lb_method": "bogus"}, "unknown load-balancing method 'bogus'"),
+            ({"ranks": 0}, "rank count must be >= 1, got 0"),
+            ({"timeout": 0}, "timeout must be > 0 seconds, got 0"),
+            ({"timeout": -2.5}, "timeout must be > 0 seconds, got -2.5"),
+        ],
+        ids=[
+            "mode", "backend", "schedule", "priority_scheme", "lb_method",
+            "ranks", "timeout-zero", "timeout-negative",
+        ],
+    )
+    def test_bad_option_fails_the_same_before_anything_exists(
+        self, bandit2_program, bad, message, monkeypatch
+    ):
+        # Every option is checked where the RunConfig is built: a typo
+        # used to pass (priority_scheme under schedule="static"), or
+        # surface from inside a forked worker after the shared-memory
+        # segments existed, depending on the backend.
+        import multiprocessing.process
+
+        import repro.runtime.executor as executor_mod
+        import repro.runtime.parallel as parallel
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("validation must come first")
+
+        monkeypatch.setattr(executor_mod, "tile_graph", unreachable)
+        monkeypatch.setattr(parallel._SegmentPool, "allocate", unreachable)
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", unreachable
+        )
+        messages = []
+        for backend in ("inline", "process"):
+            options = {
+                "backend": backend, "ranks": 2, "schedule": "static", **bad
+            }
+            with pytest.raises(RuntimeExecutionError) as exc_info:
+                execute(bandit2_program, {"N": 6}, **options)
+            messages.append(str(exc_info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(message)
+
+    def test_run_config_is_one_frozen_hashable_value(self):
+        config = RunConfig(ranks=2, tile_widths={"s1": 3, "f1": 3})
+        assert hash(config) == hash(
+            RunConfig(ranks=2, tile_widths={"s1": 3, "f1": 3})
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.ranks = 3
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "mode", "ranks", "backend", "schedule", "priority_scheme",
+            "lb_method", "tile_widths", "record_values", "record_events",
+            "keep_edges", "timeout",
+        ]
+        # A worker reads the options from the state it inherits; its
+        # context repeats none of them.
+        from repro.runtime.parallel import _WorkerContext
+
+        assert not {f.name for f in dataclasses.fields(_WorkerContext)} & {
+            f.name for f in dataclasses.fields(RunConfig)
+        }
+
+    def test_keywords_override_the_config_one_field_at_a_time(
+        self, bandit2_program
+    ):
+        config = RunConfig(mode="interpret", schedule="static")
+        res = execute(bandit2_program, {"N": 5}, config=config, ranks=2)
+        assert res.config == dataclasses.replace(
+            config, ranks=2, tile_widths=bandit2_program.spec.tile_widths
+        )
+        with pytest.raises(TypeError, match="bogus"):
+            execute(bandit2_program, {"N": 5}, config=config, bogus=1)
 
 
 class TestCompiledArtifactCaching:

@@ -2,7 +2,8 @@
 
 The CSR/SoA builder (:meth:`TileGraph.build`) must agree field for field
 with the legacy per-tile dict builder
-(:func:`repro.runtime.graph.build_tile_graph_dicts`) on every bundled
+(:func:`build_tile_graph_dicts`, below — this file is its only user, so
+it lives here rather than in the runtime) on every bundled
 problem and on randomly-parameterized small instances — and the executor
 and simulator must produce bit-identical schedules whichever builder fed
 them.  The compile memo and per-program graph cache are covered at the
@@ -12,22 +13,27 @@ bottom.
 from __future__ import annotations
 
 import functools
+from typing import Dict, List, Mapping, Set, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import RuntimeExecutionError
 from repro.generator import generate
 from repro.generator.loadbalance import compute_slab_work
+from repro.generator.pipeline import GeneratedProgram
+from repro.generator.tile_deps import delta_between
 from repro.problems import (
     edit_distance_spec,
     random_sequence,
     two_arm_spec,
 )
 from repro.runtime import (
+    Edge,
     TileGraph,
-    build_tile_graph_dicts,
+    TileIndex,
     execute,
     tile_graph,
 )
@@ -41,6 +47,112 @@ CASES = [
     ("lcs3_program", {"L1": 8, "L2": 9, "L3": 10}),
     ("msa3_program", {"L1": 8, "L2": 9, "L3": 10}),
 ]
+
+
+def build_tile_graph_dicts(
+    program: GeneratedProgram, params: Mapping[str, int]
+):
+    """The dict-based builder, kept here as the reference oracle.
+
+    Enumerates tiles one by one and probes dicts per tile/edge — the
+    pre-array-native algorithm, deterministic (tiles scanned in sorted
+    order).  Returns ``(tiles, producers, consumers, work, edge_cells)``
+    dicts matching the :class:`TileGraph` views field for field.
+    """
+    params = dict(params)
+    spaces = program.spaces
+    deltas = program.deltas
+    tiles = set(spaces.tiles(params))
+    if not tiles:
+        raise RuntimeExecutionError(
+            f"problem {program.spec.name!r} has no tiles for params {params}"
+        )
+    producers: Dict[TileIndex, Tuple[TileIndex, ...]] = {}
+    consumers: Dict[TileIndex, List[TileIndex]] = {t: [] for t in sorted(tiles)}
+    for tile in sorted(tiles):
+        prods = []
+        for delta in deltas:
+            p = tuple(t + d for t, d in zip(tile, delta))
+            if p in tiles:
+                prods.append(p)
+                consumers[p].append(tile)
+        producers[tile] = tuple(prods)
+
+    work: Dict[TileIndex, int] = {
+        t: spaces.tile_point_count(t, params) for t in sorted(tiles)
+    }
+
+    edge_cells: Dict[Edge, int] = {}
+    for consumer in sorted(tiles):
+        for producer in producers[consumer]:
+            delta = delta_between(consumer, producer)
+            plan = program.pack_plans[delta]
+            env = dict(params)
+            env.update(spaces.tile_env(producer))
+            edge_cells[(producer, consumer)] = plan.region_size(env)
+
+    return (
+        tiles,
+        producers,
+        {t: tuple(c) for t, c in consumers.items()},
+        work,
+        edge_cells,
+    )
+
+
+def graph_from_dicts(
+    program: GeneratedProgram,
+    params: Mapping[str, int],
+    tiles: Set[TileIndex],
+    producers: Mapping[TileIndex, Tuple[TileIndex, ...]],
+    work: Mapping[TileIndex, int],
+    edge_cells: Mapping[Edge, int],
+) -> TileGraph:
+    """Canonicalize a dict-shaped graph (the reference builder's output).
+
+    Lets the executor/simulator run off the dict-based path; the arrays
+    come out in the same canonical order :meth:`TileGraph.build`
+    produces, so schedules are directly comparable.
+    """
+    tile_list = sorted(tiles)
+    tile_array = np.asarray(tile_list, dtype=np.int64)
+    T = len(tile_list)
+    row = {t: r for r, t in enumerate(tile_list)}
+    work_array = np.asarray([work[t] for t in tile_list], dtype=np.int64)
+    delta_pos = {d: i for i, d in enumerate(program.deltas)}
+    cons_e: List[int] = []
+    prod_e: List[int] = []
+    did_e: List[int] = []
+    cell_e: List[int] = []
+    for t in tile_list:
+        for p in producers[t]:
+            cons_e.append(row[t])
+            prod_e.append(row[p])
+            did_e.append(delta_pos[delta_between(t, p)])
+            cell_e.append(edge_cells[(p, t)])
+    cons_a = np.asarray(cons_e, dtype=np.int64)
+    prod_a = np.asarray(prod_e, dtype=np.int64)
+    did_a = np.asarray(did_e, dtype=np.int64)
+    cell_a = np.asarray(cell_e, dtype=np.int64)
+    order = np.lexsort((did_a, cons_a))
+    prod_ptr = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cons_a, minlength=T), out=prod_ptr[1:])
+    order2 = np.lexsort((cons_a, prod_a))
+    cons_ptr = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(np.bincount(prod_a, minlength=T), out=cons_ptr[1:])
+    return TileGraph(
+        program=program,
+        params=dict(params),
+        tile_array=tile_array,
+        work_array=work_array,
+        prod_ptr=prod_ptr,
+        prod_rows=prod_a[order],
+        prod_delta=did_a[order],
+        cons_ptr=cons_ptr,
+        cons_rows=cons_a[order2],
+        cons_delta=did_a[order2],
+        cons_cells=cell_a[order2],
+    )
 
 
 def assert_graph_matches_oracle(program, params):
@@ -72,7 +184,7 @@ class TestOracleEquality:
         tiles, producers, _, work, edge_cells = build_tile_graph_dicts(
             bandit2_program, params
         )
-        redone = TileGraph.from_dicts(
+        redone = graph_from_dicts(
             bandit2_program, params, tiles, producers, work, edge_cells
         )
         for name in (
@@ -140,7 +252,7 @@ class TestPinnedSchedules:
         tiles, producers, _, work, edge_cells = build_tile_graph_dicts(
             bandit2_program, params
         )
-        legacy = TileGraph.from_dicts(
+        legacy = graph_from_dicts(
             bandit2_program, params, tiles, producers, work, edge_cells
         )
         return bandit2_program, params, built, legacy

@@ -21,6 +21,7 @@ from repro.analysis import (
     render_text,
 )
 from repro.runtime import (
+    RunConfig,
     decode_events,
     encode_events,
     run_spmd,
@@ -97,7 +98,7 @@ class TestCleanRuns:
     ])
     def test_racecheck_execution_clean(self, bandit2_program, ranks, backend):
         diags = racecheck_execution(
-            bandit2_program, PARAMS, ranks=ranks, backend=backend
+            bandit2_program, PARAMS, RunConfig(ranks=ranks, backend=backend)
         )
         assert not diags, render_text(diags)
 
@@ -105,8 +106,27 @@ class TestCleanRuns:
         diags = racecheck_execution(
             edit_program,
             default_params(edit_program.spec),
-            ranks=2,
-            backend="process",
+            RunConfig(ranks=2, backend="process"),
+        )
+        assert not diags, render_text(diags)
+
+    def test_run_and_audit_share_the_lb_method(self, bandit2_program):
+        # lb_method used to reach the audit's rank assignment but not
+        # the run, which kept dimension-cut: its trace was then held to
+        # the hyperplane assignment (five false RPR064s on this case).
+        params = {"N": 12}
+        graph = tile_graph(bandit2_program, params)
+        cut, plane = (
+            spmd_rank_assignment(
+                bandit2_program, params, graph, 3, lb_method=method
+            )
+            for method in ("dimension-cut", "hyperplane")
+        )
+        assert (cut != plane).any()
+        diags = racecheck_execution(
+            bandit2_program,
+            params,
+            RunConfig(ranks=3, lb_method="hyperplane"),
         )
         assert not diags, render_text(diags)
 

@@ -18,7 +18,8 @@ import pytest
 from repro.errors import RuntimeExecutionError
 from repro.generator import generate
 from repro.problems import random_hmm, viterbi_spec
-from repro.runtime import execute
+from repro.analysis import default_params
+from repro.runtime import SCHEDULE_POLICIES, encode_events, execute, run_spmd
 from repro.runtime.tuner import (
     TuningDecision,
     candidate_tile_widths,
@@ -201,3 +202,64 @@ class TestExecuteIntegration:
             bandit2_program, {"N": 10}, graph=graph, schedule="auto"
         )
         assert res.tile_widths == dict(bandit2_program.spec.tile_widths)
+
+    @pytest.mark.parametrize("schedule", ["dynamic", "static", "auto"])
+    @pytest.mark.parametrize("ranks", [1, 2])
+    @pytest.mark.parametrize(
+        "program_fixture,params",
+        [("bandit2_program", {"N": 10}), ("lcs3_program", None)],
+        ids=["bandit2", "lcs"],
+    )
+    def test_result_config_reproduces_the_run(
+        self, program_fixture, params, ranks, schedule, request, tmp_path,
+        monkeypatch,
+    ):
+        # ExecutionResult.config is the run as resolved: nothing is left
+        # for a second resolver (or the tuner) to decide differently.
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "t.json"))
+        program = request.getfixturevalue(program_fixture)
+        if params is None:
+            params = default_params(program.spec)
+        first = execute(
+            program, params, ranks=ranks, schedule=schedule,
+            record_values=True, record_events=True,
+        )
+        config = first.config
+        assert config.mode in ("interpret", "vector", "wavefront")
+        assert config.schedule in SCHEDULE_POLICIES
+        assert dict(config.tile_widths) == first.tile_widths
+        assert set(first.tile_widths) == set(program.spec.loop_vars)
+        again = execute(program, params, config=config, record_events=True)
+        assert again.config == config
+        assert encode_events(again.events) == encode_events(first.events)
+        assert again.values == first.values
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_auto_through_the_old_entry_point(
+        self, bandit2_program, backend, tmp_path, monkeypatch
+    ):
+        # run_spmd used to hand "auto" straight to TileScheduler (or to
+        # a forked worker's), which rejected what execute() accepts.
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "t.json"))
+        res = run_spmd(
+            bandit2_program, {"N": 10}, ranks=2, schedule="auto",
+            backend=backend,
+        )
+        assert res.schedule in SCHEDULE_POLICIES
+        assert res.objective_value == execute(
+            bandit2_program, {"N": 10}
+        ).objective_value
+
+    def test_result_config_reproduces_a_process_run(self, bandit2_program):
+        # Workers have no global interleaving, so the replayed trace is
+        # compared per tile; the values are compared exactly.
+        first = execute(
+            bandit2_program, {"N": 10}, ranks=2, backend="process",
+            schedule="static", record_values=True, record_events=True,
+        )
+        again = execute(bandit2_program, {"N": 10}, config=first.config)
+        assert again.config == first.config
+        assert again.values == first.values
+        assert sorted((e.kind, e.tile) for e in again.events) == sorted(
+            (e.kind, e.tile) for e in first.events
+        )
