@@ -42,7 +42,9 @@ from .runtime import (
     SCHEDULE_POLICIES,
     SPMD_BACKENDS,
     RunConfig,
+    compiled_executor,
     execute,
+    retile_program,
 )
 from .spec import ensure_kernel
 from .simulate import (
@@ -104,7 +106,7 @@ def _heuristic_widths(program, params):
     building its graph and validating acyclicity before it is adopted.
     """
     from .runtime import tile_graph
-    from .runtime.tuner import heuristic_tile_widths, retile_program
+    from .runtime.tuner import heuristic_tile_widths
 
     try:
         widths = heuristic_tile_widths(program.spec, params)
@@ -247,13 +249,15 @@ def _add_run_options(ap: argparse.ArgumentParser, sweep: bool = False) -> None:
         "--mode",
         choices=EXECUTION_MODES,
         default=RunConfig.mode,
-        help="evaluator and dispatch: 'wavefront' runs the array "
-        "evaluator over a rank's whole ready front, 'vector' is the "
-        "array evaluator dispatched tile at a time (3.5-9.5x slower "
-        "than 'wavefront' on the suite instances; kept for trace parity "
-        "with the interpreter), 'interpret' evaluates the scalar kernel "
-        "cell by cell; 'auto' (default) is 'wavefront' when the problem "
-        "has a vector kernel and 'interpret' otherwise",
+        help="evaluator and dispatch: 'native' compiles the emitted C "
+        "tile body, loads it in process and runs it over a rank's whole "
+        "ready front, 'wavefront' runs the array evaluator over the "
+        "same fronts, 'vector' is the array evaluator dispatched tile "
+        "at a time (3.5-9.5x slower than 'wavefront' on the suite "
+        "instances; kept for trace parity with the interpreter), "
+        "'interpret' evaluates the scalar kernel cell by cell; 'auto' "
+        "(default) prefers 'native', then 'wavefront', then 'interpret', "
+        "and the summary says why it stepped down",
     )
 
 
@@ -334,7 +338,14 @@ def main_run(argv=None) -> int:
     print()
     cfg = result.config
     print(f"parameters        : {params}")
-    print(f"engine mode       : {cfg.mode}"
+    stepped_down = ""
+    if args.mode == "auto" and cfg.mode != "native":
+        # From the executor of the program as it ran (memoized).
+        ce = compiled_executor(
+            retile_program(program, dict(cfg.tile_widths))
+        )
+        stepped_down = f" (native unavailable: {ce.native_reason})"
+    print(f"engine mode       : {cfg.mode}{stepped_down}"
           + (f" ({cfg.backend} backend)" if cfg.ranks > 1 else ""))
     print(f"schedule          : {cfg.schedule}")
     print(f"tile widths       : {dict(cfg.tile_widths)}")
@@ -687,6 +698,16 @@ def main_racecheck(argv=None) -> int:
             )
             if args.static_only:
                 continue
+            kernel = ensure_kernel(spec)
+            try:
+                compiled_executor(program).resolve_mode(args.mode, kernel)
+            except ReproError as exc:
+                # A forced mode this problem cannot run leaves nothing
+                # to execute: a named skip, not a finding.
+                print(
+                    f"{spec.name}: execution skipped: {exc}", file=sys.stderr
+                )
+                continue
             for ranks in ranks_list:
                 for backend in backends:
                     if backend == "process" and ranks == 1:
@@ -696,7 +717,7 @@ def main_racecheck(argv=None) -> int:
                             program,
                             params,
                             _run_config(args, ranks=ranks, backend=backend),
-                            kernel=ensure_kernel(spec),
+                            kernel=kernel,
                         )
                     )
     except ReproError as exc:

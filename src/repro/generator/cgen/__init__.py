@@ -2,7 +2,7 @@
 
 from .emitter import CWriter
 from .nestc import MACROS, emit_count_function, emit_scan_loops
-from .program import emit_c_program
+from .program import emit_c_program, emit_c_tile_library
 from .runtime_c import RUNTIME_LIBRARY
 
 __all__ = [
@@ -11,5 +11,6 @@ __all__ = [
     "emit_count_function",
     "emit_scan_loops",
     "emit_c_program",
+    "emit_c_tile_library",
     "RUNTIME_LIBRARY",
 ]

@@ -51,12 +51,7 @@ MAX_FACE_COMBOS = 64
 def emit_c_program(program: GeneratedProgram, with_ehrhart: bool = True) -> str:
     """Render *program* as a complete hybrid OpenMP + MPI C source file."""
     spec = program.spec
-    spaces = program.spaces
-    layout = program.layout
     w = CWriter()
-
-    d = len(spec.loop_vars)
-    deltas = program.deltas
 
     w.line("/*")
     w.line(f" * Auto-generated hybrid OpenMP + MPI program: {spec.name}")
@@ -68,6 +63,83 @@ def emit_c_program(program: GeneratedProgram, with_ehrhart: bool = True) -> str:
     w.line(f" * Run:                 ./prog {' '.join('<' + p + '>' for p in spec.params)}")
     w.line(" */")
     w.blank()
+    _emit_prologue(w, program)
+    _emit_tile_work(w, program)
+    _emit_tile_box(w, program)
+    _emit_execute_tile(w, program)
+    _emit_pack_unpack(w, program)
+    _emit_priority(w, program)
+    _emit_load_balance(w, program, with_ehrhart=with_ehrhart)
+    _emit_initial_tiles(w, program)
+
+    w.raw(RUNTIME_LIBRARY)
+    return w.text()
+
+
+def emit_c_tile_library(program: GeneratedProgram) -> str:
+    """The tile body of :func:`emit_c_program` as a loadable library.
+
+    The same prologue and ``repro_execute_tile`` (``checked=True``),
+    plus the one exported entry point :mod:`repro.runtime.native` calls:
+    ``repro_native_tiles(n, tiles, V, params, bad)`` evaluates the *n*
+    tiles ``tiles[b*D .. b*D+D)`` in place in the padded planes
+    ``V[b*REPRO_PADDED_CELLS ..)`` and returns the cells computed — or
+    -1 with ``bad`` = (template id, plane, point...) of the first valid
+    dependency that read NaN.  The parameter statics are process state
+    (callers serialize); ``init_code_c`` reruns when they change.
+    """
+    spec = program.spec
+    d = len(spec.loop_vars)
+    w = CWriter()
+    w.line(f"/* Auto-generated tile library: {spec.name}.  Do not edit by hand. */")
+    _emit_prologue(w, program)
+    _emit_execute_tile(w, program, checked=True)
+    w.open(
+        "long repro_native_tiles(long n, const long *tiles, double *V, "
+        "const long *params, long *bad)"
+    )
+    w.line("static int ready = 0;")
+    changed = " || ".join(
+        ["!ready"] + [f"{p} != params[{k}]" for k, p in enumerate(spec.params)]
+    )
+    w.open(f"if ({changed})")
+    for k, p in enumerate(spec.params):
+        w.line(f"{p} = params[{k}];")
+    w.line("repro_user_init();")
+    w.line("ready = 1;")
+    w.close()
+    if not spec.params:
+        w.line("(void)params;")
+    w.line("repro_cells = 0;")
+    w.line("repro_bad[0] = -1;")
+    w.open("for (long b = 0; b < n; b++)")
+    w.line("repro_execute_tile(tiles + b * REPRO_D, V + b * REPRO_PADDED_CELLS);")
+    w.open("if (repro_bad[0] >= 0)")
+    w.line("bad[0] = repro_bad[0];")
+    w.line("bad[1] = b;")
+    w.line(f"memcpy(bad + 2, repro_bad + 1, {d} * sizeof(long));")
+    w.line("return -1;")
+    w.close()
+    w.close()
+    w.line("return repro_cells;")
+    w.close()
+    return w.text()
+
+
+# ---------------------------------------------------------------------------
+# generated sections
+# ---------------------------------------------------------------------------
+
+
+def _emit_prologue(w: CWriter, program: GeneratedProgram) -> None:
+    """Everything the tile function compiles against: includes, macros,
+    constants, the parameter statics and the user's global/init code —
+    shared by :func:`emit_c_program` and :func:`emit_c_tile_library`."""
+    spec = program.spec
+    layout = program.layout
+    d = len(spec.loop_vars)
+    deltas = program.deltas
+
     w.lines(
         [
             "#include <stdio.h>",
@@ -126,22 +198,6 @@ def emit_c_program(program: GeneratedProgram, with_ehrhart: bool = True) -> str:
     w.close()
     w.blank()
 
-    _emit_tile_work(w, program)
-    _emit_tile_box(w, program)
-    _emit_execute_tile(w, program)
-    _emit_pack_unpack(w, program)
-    _emit_priority(w, program)
-    _emit_load_balance(w, program, with_ehrhart=with_ehrhart)
-    _emit_initial_tiles(w, program)
-
-    w.raw(RUNTIME_LIBRARY)
-    return w.text()
-
-
-# ---------------------------------------------------------------------------
-# generated sections
-# ---------------------------------------------------------------------------
-
 
 def _unpack_tile_args(w, spaces) -> None:
     for k, tv in enumerate(spaces.tile_vars):
@@ -182,13 +238,23 @@ def _emit_tile_box(w: CWriter, program: GeneratedProgram) -> None:
     w.blank()
 
 
-def _emit_execute_tile(w: CWriter, program: GeneratedProgram) -> None:
+def _emit_execute_tile(
+    w: CWriter, program: GeneratedProgram, checked: bool = False
+) -> None:
+    """The tile function.  *checked* adds the two statements the
+    in-process library needs and the standalone program does not: a
+    cell counter, and per template a record of the first valid
+    dependency that reads NaN (never computed or delivered)."""
     spec = program.spec
     spaces = program.spaces
     layout = program.layout
     w.line("/* ---- tile calculation code (Section IV-L, Figure 3) ---- */")
     w.line("static double repro_objective_value = 0.0;")
     w.line("static int repro_objective_seen = 0;")
+    if checked:
+        w.line("static long repro_cells = 0;")
+        w.line("/* template id (-1 = none), then the point */")
+        w.line("static long repro_bad[1 + REPRO_D] = {-1};")
     objective = spec.objective({})
     w.open("static void repro_execute_tile(const long *t, double *V)")
     _unpack_tile_args(w, spaces)
@@ -226,6 +292,18 @@ def _emit_execute_tile(w: CWriter, program: GeneratedProgram) -> None:
             + " ".join(f"(void)loc_{n}; (void)is_valid_{n};" for n in
                        spec.templates.names())
         )
+        if checked:
+            point = "".join(
+                f" repro_bad[{k + 1}] = {x};"
+                for k, x in enumerate(spec.loop_vars)
+            )
+            w.line("repro_cells++;")
+            for t, name in enumerate(spec.templates.names()):
+                w.line(
+                    f"if (repro_bad[0] < 0 && is_valid_{name} && "
+                    f"V[loc_{name}] != V[loc_{name}]) "
+                    f"{{ repro_bad[0] = {t};{point} }}"
+                )
         w.line("/* ---- user center-loop code ---- */")
         if spec.center_code_c.strip():
             w.raw(spec.center_code_c)

@@ -64,12 +64,14 @@ from ..generator.priority import SCHEMES as PRIORITY_SCHEMES
 from ..polyhedra.compile import compile_scanner
 from ..spec import Kernel
 from .fastpath import (
+    FRONT_MODES,
     VectorTileEngine,
     WavefrontRun,
     vector_unsupported_reason,
 )
 from .graph import TileGraph, TileIndex, tile_graph
 from .memory import EdgeMemoryTracker
+from .native import NativeTileLibrary, load_tile_library
 from .parallel import run_process
 from .scheduler import SCHEDULE_POLICIES, TileScheduler, TransitionEvent
 from .spmd import (
@@ -79,7 +81,7 @@ from .spmd import (
     validate_rank_of,
 )
 
-EXECUTION_MODES = ("auto", "interpret", "vector", "wavefront")
+EXECUTION_MODES = ("auto", "interpret", "vector", "wavefront", "native")
 
 #: The two transports, by ``RunConfig.backend``: each takes the resolved
 #: :class:`_RunState` and returns its ranks' payloads.
@@ -113,11 +115,12 @@ class RunConfig:
     the run.
     """
 
-    #: Evaluator and dispatch: ``"auto"`` (``"wavefront"`` when the spec
-    #: has a vector kernel and no custom kernel is given, the
-    #: interpreter otherwise), ``"interpret"`` (the scalar kernel, cell
-    #: by cell), ``"wavefront"`` (the array evaluator over a rank's
-    #: whole ready front), or ``"vector"`` (the array evaluator
+    #: Evaluator and dispatch: ``"auto"`` (``"native"``, else
+    #: ``"wavefront"``, else the interpreter), ``"interpret"`` (the
+    #: scalar kernel, cell by cell), ``"wavefront"`` (the array
+    #: evaluator over a rank's whole ready front), ``"native"`` (the
+    #: same fronts through the emitted C tile body, compiled and
+    #: loaded in process), or ``"vector"`` (the array evaluator
     #: dispatched tile at a time: 3.5-9.5x slower than ``wavefront`` on
     #: the suite instances; kept for trace parity with the interpreter).
     #: Forced modes raise when the program cannot run them.
@@ -335,9 +338,10 @@ class _RunState:
         self.params = params
         self.kernel = kernel
         self.engine = None if interpret else ce.vector_engine
+        self.native = ce.native_library if config.mode == "native" else None
         self.config = config
         # Read every turn: a plain attribute, not a config lookup.
-        self.resolved = config.mode
+        self.fronts = config.mode in FRONT_MODES
         self.graph = graph
         self.rank_of = rank_of
         #: Working-buffer planes each rank's arena needs; the transport
@@ -383,24 +387,23 @@ class _RunState:
         inline one, shared memory for the process one.
         """
         config = self.config
-        wavefront = self.resolved == "wavefront"
         self.sched = TileScheduler(
             self.graph,
             ranks=config.ranks,
             rank_of=self.rank_of,
             priority_scheme=config.priority_scheme,
             record_events=config.record_events,
-            batch=wavefront,
+            batch=self.fronts,
             schedule=config.schedule,
         )
         self.arenas = arenas
         self.kept_edges = {} if config.keep_edges else None
-        if wavefront:
+        if self.fronts:
             self.runs = {
                 rank: WavefrontRun(
                     self.engine, self.graph, self.params,
                     rank_of=self.rank_of, values=self.values, arena=arena,
-                    keep_edges=config.keep_edges,
+                    keep_edges=config.keep_edges, native=self.native,
                 )
                 for rank, arena in arenas.items()
             }
@@ -410,7 +413,7 @@ class _RunState:
         """One scheduling turn of *rank*; False when it had nothing ready.
 
         Start what the rank can start — one tile, or its whole lowest
-        ready front when the run resolved to ``wavefront`` — evaluate
+        ready front when the run dispatches fronts — evaluate
         it, note the objective, then per started tile pack each outgoing
         edge, keep it under ``keep_edges``, hand it on, and release the
         tile.  A same-rank edge is buffered in the scheduler and
@@ -421,7 +424,7 @@ class _RunState:
         """
         sched = self.sched
         tile_tuples = sched.tile_tuples
-        if self.resolved == "wavefront":
+        if self.fronts:
             rows = sched.start_batch(rank)
             if not rows:
                 return False
@@ -449,10 +452,10 @@ class _RunState:
             arrays = [array]
 
         kept_edges = self.kept_edges
-        # A wavefront run's same-rank edges travel as slices of retained
-        # interiors; every other edge (all of them under keep_edges)
-        # takes the packed route.
-        slice_local = self.resolved == "wavefront" and kept_edges is None
+        # A front-dispatched run's same-rank edges travel as slices of
+        # retained interiors; every other edge (all of them under
+        # keep_edges) takes the packed route.
+        slice_local = self.fronts and kept_edges is None
         for row, array in zip(rows, arrays):
             tile = tile_tuples[row]
             self.tile_order.append(tile)
@@ -566,7 +569,9 @@ class _RunState:
         values = self.values
         engine = self.engine
         if engine is not None:
-            cells = engine.execute_tile(tile, array, self.params, values)
+            cells = engine.execute_tile(
+                tile, array, self.params, values, self.native
+            )
             self.cells_computed += cells
             return cells
 
@@ -644,6 +649,7 @@ class CompiledExecutor:
         self._vector_engine: Optional[VectorTileEngine] = None
         self._vector_reason: Optional[str] = None
         self._vector_probed = False
+        self._native: Optional[tuple] = None  # (library, reason), probed
 
     # -- public compiled artifacts --------------------------------------------
 
@@ -697,15 +703,40 @@ class CompiledExecutor:
         self.vector_engine  # noqa: B018 - force the probe
         return self._vector_reason
 
-    def resolve_mode(self, mode: str, kernel: Optional[Kernel]) -> str:
-        """Dispatch ``auto``/``interpret``/``vector``/``wavefront`` to an
-        evaluator and its dispatch granularity.
+    @property
+    def native_library(self) -> Optional[NativeTileLibrary]:
+        """The compiled tile body, or None with ``native_reason`` set.
 
-        Auto runs the array engine front at a time (``"wavefront"``)
-        and steps down to the interpreter when the program has no vector
-        kernel, a custom scalar kernel, or engine construction failed.
-        Forced modes raise instead of degrading.  ``keep_edges`` plays
-        no part: every mode can retain its packed edges.
+        Probed on the first ``auto``/``native`` resolve (in the
+        resolver, so before any fork), never by ``vector_engine``: the
+        one property that may run the C compiler.  It evaluates over
+        the array engine's geometry, so it needs that engine too.
+        """
+        if self._native is None:
+            if self.vector_engine is None:
+                self._native = (
+                    None, f"no array engine to run on ({self._vector_reason})"
+                )
+            else:
+                self._native = load_tile_library(self.program)
+        return self._native[0]
+
+    @property
+    def native_reason(self) -> Optional[str]:
+        self.native_library  # noqa: B018 - force the probe
+        return self._native[1]
+
+    def resolve_mode(self, mode: str, kernel: Optional[Kernel]) -> str:
+        """Dispatch a :data:`EXECUTION_MODES` value to an evaluator and
+        its dispatch granularity.
+
+        Auto prefers the compiled tile body (``"native"``), then the
+        array engine front at a time (``"wavefront"``), then the
+        interpreter; each step down has a named reason
+        (``native_reason``, ``vector_reason``), and a custom scalar
+        kernel goes straight to the interpreter.  Forced modes raise
+        the reason instead of degrading.  ``keep_edges`` plays no part:
+        every mode can retain its packed edges.
         """
         if mode == "interpret":
             return "interpret"
@@ -716,6 +747,13 @@ class CompiledExecutor:
                     "mode='interpret' or a spec with a matching vector_kernel"
                 )
             return "interpret"
+        if mode in ("auto", "native"):
+            if self.native_library is not None:
+                return "native"
+            if mode == "native":
+                raise RuntimeExecutionError(
+                    f"native mode unavailable: {self.native_reason}"
+                )
         if self.vector_engine is None:
             if mode != "auto":
                 raise RuntimeExecutionError(

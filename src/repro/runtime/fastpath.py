@@ -72,12 +72,18 @@ import numpy as np
 from ..errors import GenerationError, RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
 from ..polyhedra import Constraint
+from .native import NativeTileLibrary
 
 __all__ = [
+    "FRONT_MODES",
     "VectorTileEngine",
     "WavefrontRun",
     "vector_unsupported_reason",
 ]
+
+#: Resolved modes that take a rank's whole ready front per turn; they
+#: differ only in what :meth:`LaneGather._evaluate` runs over the batch.
+FRONT_MODES = ("wavefront", "native")
 
 
 # Box cells (tiles x cells per box) evaluated per sub-batch of a front:
@@ -372,6 +378,7 @@ class VectorTileEngine:
         array: np.ndarray,
         params: Mapping[str, int],
         values: Optional[Dict[Tuple[int, ...], float]] = None,
+        native: Optional[NativeTileLibrary] = None,
     ) -> int:
         """Evaluate the recurrence on every in-space cell of *tile*.
 
@@ -381,13 +388,13 @@ class VectorTileEngine:
         :meth:`WavefrontRun.execute_batch` runs over a front.  Returns
         the number of cells computed; records every cell into *values*
         when given (keys are global-coordinate tuples, exactly as the
-        interpreter produces them).
+        interpreter produces them), evaluating with *native* if given.
         """
         if not array.flags.c_contiguous:
             raise RuntimeExecutionError(
                 f"tile {tile}: the padded array must be C-contiguous"
             )
-        one = LaneGather(self, params, values)
+        one = LaneGather(self, params, values, native)
         one._evaluate(array.reshape(-1), 0, np.array([tile], dtype=np.int64))
         return one.cells
 
@@ -400,7 +407,8 @@ class LaneGather:
     the run's parameters and nothing else — no graph, no scheduler — so
     one recomputed tile (:meth:`VectorTileEngine.execute_tile`) and a
     whole front (:class:`WavefrontRun`) are evaluated by the same
-    :meth:`_masks` -> :meth:`_lanes` -> :meth:`_evaluate`.
+    :meth:`_masks` -> :meth:`_lanes` -> :meth:`_evaluate` — the level
+    loop or, given *native*, the compiled tile body over the same planes.
     """
 
     def __init__(
@@ -408,11 +416,16 @@ class LaneGather:
         engine: VectorTileEngine,
         params: Mapping[str, int],
         values: Optional[Dict[Tuple[int, ...], float]] = None,
+        native: Optional[NativeTileLibrary] = None,
     ):
         self.engine = engine
         self.params = dict(params)
         self.values = values
+        self.native = native
         self.cells = 0
+        self._param_vec = np.array(
+            [self.params[p] for p in engine.spec.params], dtype=np.int64
+        )
         # Per-part scalar base with the run's parameters folded in; the
         # batch classification only adds the tile term.
         self._base0 = np.asarray(
@@ -481,20 +494,45 @@ class LaneGather:
         cuts = np.searchsorted(ci, self.engine._level_ends)
         return ci, bi, [0] + cuts.tolist()
 
+    def _poisoned(self, tile, name: str, where) -> RuntimeExecutionError:
+        return RuntimeExecutionError(
+            f"tile {tuple(tile)}: dependency {name} of point "
+            f"{dict(zip(self.engine.loop_vars, where))} is valid but its "
+            "value was never computed or delivered"
+        )
+
     def _evaluate(self, flat: np.ndarray, b0: int, tiles_arr: np.ndarray):
-        """Masked lane-gather evaluation of batch rows ``b0:b0+len(tiles_arr)``.
+        """Evaluate batch rows ``b0:b0+len(tiles_arr)`` in place.
 
         *flat* is the whole batch array (one tile's padded array is a
-        batch of one), flattened.  Per intra-tile level, the in-space
+        batch of one), flattened.  The one place that chooses the
+        evaluator: one call into the compiled tile body when the run has
+        one, else the level loop — per intra-tile level, the in-space
         cells of every tile become the lanes of one kernel call and the
-        result is scattered back in place; a valid dependency that reads
-        NaN raises, naming tile, template and point.  The lane list and
-        its index into the validity planes are built once for the
-        sub-batch (:meth:`_lanes`); a level only slices them.
+        result is scattered back in place.  Either way a valid
+        dependency that reads NaN raises, naming tile, template and
+        point.  The lane list and its index into the validity planes are
+        built once per sub-batch (:meth:`_lanes`); a level slices them.
         """
         eng = self.engine
         loop_vars = eng.loop_vars
         names = eng._templates
+        if self.native is not None:
+            cells, bad = self.native.run(tiles_arr, flat, b0, self._param_vec)
+            if bad is not None:
+                raise self._poisoned(
+                    tiles_arr[bad[1]].tolist(), names[bad[0]], bad[2:]
+                )
+            self.cells += cells
+            if self.values is not None:  # from the level loop's listing
+                ci, bi, _ = self._lanes(self._masks(tiles_arr)[0])
+                here = eng._cell_offset.take(ci) + (b0 + bi) * eng._plane
+                coords = eng._cell_coords.take(ci, axis=1)
+                coords += (tiles_arr.take(bi, axis=0) * eng.widths).T
+                self.values.update(
+                    zip(map(tuple, coords.T.tolist()), flat[here].tolist())
+                )
+            return
         masks = self._masks(tiles_arr)
         space, validity = masks[0], masks[1:]
         plane0 = (b0 + np.arange(len(tiles_arr))) * eng._plane
@@ -519,12 +557,9 @@ class LaneGather:
             bad = np.isnan(vals) & vmask
             if bad.any():
                 t, j = (int(a[0]) for a in np.nonzero(bad))
-                tile = tuple(tiles_arr[int(bi[j])].tolist())
-                where = dict(zip(loop_vars, coords[:, j].tolist()))
-                raise RuntimeExecutionError(
-                    f"tile {tile}: dependency {names[t]} of point {where} "
-                    "is valid but its value was never computed or "
-                    "delivered"
+                raise self._poisoned(
+                    tiles_arr[int(bi[j])].tolist(), names[t],
+                    coords[:, j].tolist(),
                 )
             flat[here] = np.asarray(
                 eng.vector_kernel(
@@ -579,8 +614,9 @@ class WavefrontRun(LaneGather):
         values: Optional[Dict[Tuple[int, ...], float]] = None,
         arena: Optional[np.ndarray] = None,
         keep_edges: bool = False,
+        native: Optional[NativeTileLibrary] = None,
     ):
-        super().__init__(engine, params, values)
+        super().__init__(engine, params, values, native)
         self.graph = graph
         if arena is not None:
             expected = engine.padded_shape

@@ -481,7 +481,7 @@ def run_process(state: "_RunState") -> List[Dict[str, object]]:
         # every worker's scheduler.
         graph.wavefront_levels()
         graph.dependency_count_array()
-    if state.resolved == "wavefront":
+    if state.fronts:
         graph.wavefront_levels()
     elif schedule == "dynamic":
         graph.priority_tuples(config.priority_scheme)

@@ -8,7 +8,7 @@ on an MPI cluster, entirely in-process: the load balancer's
 Ehrhart-balanced assignment partitions the tiles into P ranks, the ranks
 take turns round-robin through the one scheduling loop body
 (:meth:`repro.runtime.executor._RunState.turn` — one tile per turn, or
-one ready front when the run resolved to ``wavefront``) against one
+one ready front when the run dispatches fronts) against one
 shared scheduler, and every edge that crosses a rank boundary travels
 through an explicit in-memory message queue whose send/recv ordering
 mirrors the generated C's MPI protocol:
@@ -52,6 +52,7 @@ import numpy as np
 
 from ..errors import RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
+from .fastpath import FRONT_MODES
 from .graph import TileGraph
 from .scheduler import rank_of_rows
 
@@ -133,7 +134,7 @@ def arena_capacities(
     """Per-rank working-buffer plane counts — the one sizing rule of
     every transport.
 
-    A wavefront rank evaluates whole fronts into its arena, so the
+    A front-dispatched rank evaluates whole fronts into its arena, so the
     arena needs one padded plane per tile of the rank's *widest* static
     wavefront level — fewer planes means two tiles of one batch would
     alias the same plane (a write-write overlap the static analyzer
@@ -142,7 +143,7 @@ def arena_capacities(
     """
     rank_arr = np.asarray(rank_of, dtype=np.int64)
     caps: List[int] = []
-    if resolved == "wavefront":
+    if resolved in FRONT_MODES:
         levels = graph.wavefront_levels()
         for r in range(ranks):
             mine = levels[rank_arr == r]

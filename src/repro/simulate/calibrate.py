@@ -22,6 +22,7 @@ tile graph, so only the steady-state execution loop is measured.
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 import subprocess
 import tempfile
@@ -61,27 +62,45 @@ def run_generated_c(
     workdir: Optional[Path] = None,
     extra_cflags: Sequence[str] = (),
 ) -> CalibrationRun:
-    """Compile (once per workdir) and run the generated C program."""
+    """Compile (once per program and flags per workdir) and run the
+    generated C program.
+
+    ``workdir/<spec.name>.sha256`` records what the binary beside it was
+    built from; a different program or flag set under the same spec name
+    rebuilds instead of running the stale binary.  Without a *workdir*
+    the build lives in a temporary directory removed before returning.
+    """
     if not gcc_available():
         raise SimulationError("calibration requires gcc")
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-cal-") as owned:
+            return run_generated_c(
+                program, params, threads, Path(owned), extra_cflags
+            )
     spec = program.spec
-    own_dir = workdir is None
-    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="repro-cal-"))
+    workdir = Path(workdir)
     cpath = workdir / f"{spec.name}.c"
     binpath = workdir / spec.name
-    if not binpath.exists():
-        cpath.write_text(emit_c_program(program))
+    stamp = workdir / f"{spec.name}.sha256"
+    flags = ["-O2", "-std=c99", "-fopenmp", *extra_cflags]
+    # Emitting is deterministic per program; repeated runs (the suite's
+    # timed op) reuse the first emission.
+    source = getattr(program, "_emitted_c", None)
+    if source is None:
+        source = program._emitted_c = emit_c_program(program)
+    digest = hashlib.sha256("\0".join((source, *flags)).encode()).hexdigest()
+    if not (
+        binpath.exists() and stamp.exists() and stamp.read_text() == digest
+    ):
+        cpath.write_text(source)
         build = subprocess.run(
-            [
-                "gcc", "-O2", "-std=c99", "-fopenmp",
-                *extra_cflags,
-                str(cpath), "-o", str(binpath), "-lm",
-            ],
+            ["gcc", *flags, str(cpath), "-o", str(binpath), "-lm"],
             capture_output=True,
             text=True,
         )
         if build.returncode != 0:
             raise SimulationError(f"gcc failed:\n{build.stderr[-2000:]}")
+        stamp.write_text(digest)
     args = [str(params[p]) for p in spec.params]
     run = subprocess.run(
         [str(binpath), *args],
@@ -114,8 +133,9 @@ def run_in_process(
     """Time the in-process runtime on one instance (no gcc required).
 
     The tile graph is prebuilt and the program's cached compiled
-    executor does all one-time derivation before the clock starts; the
-    fastest of *repeats* timed runs is reported.
+    executor does all one-time derivation (under ``mode="auto"``
+    including the native library's build) in the warm-up run, before
+    the clock starts; the fastest of *repeats* timed runs is reported.
     """
     from ..runtime import execute, tile_graph
 
@@ -173,10 +193,12 @@ def calibrate_machine(
 ) -> Tuple[MachineModel, CalibrationRun, CalibrationRun]:
     """Fit the cost model from two single-thread runs of the compiled C.
 
-    Returns the fitted model plus both measurements.
+    Returns the fitted model plus both measurements.  Both runs share
+    one temporary build directory, so the program is compiled once.
     """
-    small = run_generated_c(program, small_params)
-    large = run_generated_c(program, large_params)
+    with tempfile.TemporaryDirectory(prefix="repro-cal-") as owned:
+        small = run_generated_c(program, small_params, workdir=Path(owned))
+        large = run_generated_c(program, large_params, workdir=Path(owned))
     return fit_machine(small, large, base), small, large
 
 
@@ -191,8 +213,10 @@ def calibrate_machine_in_process(
     """Like :func:`calibrate_machine`, but timing the Python runtime.
 
     Grounds the simulator on hosts without a C toolchain.  With
-    ``mode="auto"`` the vectorized fast path is measured when the spec
-    supports it, which is the runtime users actually get.
+    ``mode="auto"`` the engine ``execute`` resolves to is measured —
+    the compiled tile body where a C compiler exists, else the array
+    engine, else the interpreter — which is the runtime users actually
+    get.
     """
     small = run_in_process(program, small_params, mode=mode, repeats=repeats)
     large = run_in_process(program, large_params, mode=mode, repeats=repeats)

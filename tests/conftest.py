@@ -20,6 +20,7 @@ import signal
 import pytest
 
 from repro.generator import generate
+from repro.runtime import compiled_executor
 from repro.problems import (
     delayed_two_arm_spec,
     edit_distance_spec,
@@ -83,6 +84,23 @@ def hard_timeout(request):
     """Fail the test, not the run, when it exceeds TEST_TIMEOUT_S."""
     with alarm_after(TEST_TIMEOUT_S, request.node.nodeid):
         yield
+
+
+def auto_mode(program):
+    """What ``mode="auto"`` must resolve to for *program*: the compiled
+    tile body, else the array engine front at a time, else the
+    interpreter."""
+    ce = compiled_executor(program)
+    if ce.native_reason is None:
+        return "native"
+    return "wavefront" if ce.vector_reason is None else "interpret"
+
+
+def require_native(program):
+    """Skip, with the named reason, where ``mode="native"`` cannot run."""
+    reason = compiled_executor(program).native_reason
+    if reason is not None:
+        pytest.skip(f"native mode unavailable: {reason}")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.generator import generate
+from repro.problems import two_arm_spec
 from repro.simulate import (
     MachineModel,
     calibrate_machine,
@@ -41,6 +43,45 @@ class TestRunGeneratedC:
             extra_cflags=["-DREPRO_CHECK"],
         )
         assert run.cells > 0
+
+
+    def test_same_spec_name_different_program_rebuilds(self, tmp_path):
+        # One workdir, one spec name, two programs: the second must not
+        # run the first one's binary.
+        if not gcc_available():
+            pytest.skip("gcc not available")
+        w8, w4 = (generate(two_arm_spec(tile_width=w)) for w in (8, 4))
+        tiles = [
+            run_generated_c(p, {"N": 16}, workdir=tmp_path).tiles
+            for p in (w8, w4, w8)
+        ]
+        assert tiles == [15, 70, 15]
+        digest = (tmp_path / "bandit2.sha256").read_text()
+        assert run_generated_c(w8, {"N": 16}, workdir=tmp_path).tiles == 15
+        assert (tmp_path / "bandit2.sha256").read_text() == digest
+
+    def test_owned_build_directories_are_removed(
+        self, bandit2_w4_program, tmp_path, monkeypatch
+    ):
+        if not gcc_available():
+            pytest.skip("gcc not available")
+        import repro.simulate.calibrate as cal
+
+        builds = []
+        real_run = cal.subprocess.run
+
+        def counting_run(argv, **kwargs):
+            if argv[0] == "gcc":
+                builds.append(argv)
+            return real_run(argv, **kwargs)
+
+        monkeypatch.setattr(cal.subprocess, "run", counting_run)
+        monkeypatch.setattr(cal.tempfile, "tempdir", str(tmp_path))
+        run_generated_c(bandit2_w4_program, {"N": 10})
+        assert (len(builds), list(tmp_path.iterdir())) == (1, [])
+        calibrate_machine(bandit2_w4_program, {"N": 10}, {"N": 20})
+        # Both runs of a calibration share one build.
+        assert (len(builds), list(tmp_path.iterdir())) == (2, [])
 
 
 class TestCalibrateMachine:

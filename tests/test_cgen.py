@@ -1,12 +1,15 @@
 """C backend: structural checks plus compile-and-run validation."""
 
+import hashlib
 import subprocess
 
 import pytest
 
+from repro.cli import _builtin_spec
 from repro.generator import generate
-from repro.generator.cgen import emit_c_program
+from repro.generator.cgen import emit_c_program, emit_c_tile_library
 from repro.problems import (
+    REGISTRY,
     edit_distance_reference,
     three_arm_reference,
     two_arm_reference,
@@ -77,6 +80,61 @@ class TestStructure:
         assert emit_c_program(bandit2_w4_program) == emit_c_program(
             bandit2_w4_program
         )
+
+
+#: sha256 prefixes of ``emit_c_program`` for every bundled problem (the
+#: CLI's demo instances at width 4), recorded before the tile library
+#: began to share the prologue and the tile function with it.
+PROGRAM_PINS = {
+    "bandit2": "812340e829da8be1",
+    "bandit2-delayed": "16175c046c5e4bb4",
+    "bandit3": "51ea33431d76f5c1",
+    "damerau": "f2f2c1773bd46d59",
+    "edit-distance": "0105b8721be650e4",
+    "lcs": "3db6a2d324dd5f0c",
+    "msa": "09d0657f75f41dd7",
+    "smith-waterman": "5913a0b4d4045386",
+    "viterbi": "7a8cd1d43c9bd242",
+}
+
+
+def _tile_function(src):
+    """The lines of ``repro_execute_tile`` in an emitted source."""
+    lines = src.splitlines()
+    start = lines.index(
+        "static void repro_execute_tile(const long *t, double *V) {"
+    )
+    return lines[start:lines.index("}", start) + 1]
+
+
+class TestTileLibrary:
+    """The loadable library is the program's own tile function."""
+
+    @pytest.mark.parametrize("name", sorted(PROGRAM_PINS))
+    def test_program_unchanged_and_tile_function_shared(self, name):
+        assert sorted(PROGRAM_PINS) == sorted(REGISTRY)
+        program = generate(_builtin_spec(name, 4))
+        src = emit_c_program(program)
+        assert hashlib.sha256(src.encode()).hexdigest()[:16] == (
+            PROGRAM_PINS[name]
+        )
+        lib = emit_c_tile_library(program)
+        assert lib == emit_c_tile_library(program)
+        # The library's tile function is the program's plus the cell
+        # counter and one poison check per template, nothing else.
+        added = [
+            line for line in _tile_function(lib)
+            if line.strip() == "repro_cells++;"
+            or line.lstrip().startswith("if (repro_bad[0] < 0 && is_valid_")
+        ]
+        assert len(added) == 1 + len(program.spec.templates)
+        assert [
+            line for line in _tile_function(lib) if line not in added
+        ] == _tile_function(src)
+        # One exported symbol; no driver, no OpenMP, no MPI calls.
+        assert lib.count("\nlong repro_native_tiles(") == 1
+        for absent in ("int main(", "#pragma omp", "MPI_Init"):
+            assert absent not in lib
 
 
 def _compile_and_run(src, args, tmp_path, threads=2):

@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import json
+import re
 
 import pytest
 
@@ -87,6 +88,11 @@ class TestRun:
         out = capsys.readouterr().out
         assert "objective" in out
         assert "tiles executed" in out
+        # Auto got its first preference, or the summary says why not.
+        assert re.search(
+            r"engine mode +: (native|\w+ \(native unavailable: .+\))$",
+            out, re.M,
+        )
 
     def test_alignment_defaults(self, capsys):
         rc = main_run(["--problem", "edit-distance", "--tile-width", "5"])

@@ -24,6 +24,8 @@ from repro.runtime import (
     solve_reference,
 )
 
+from .conftest import auto_mode
+
 
 class TestBandit2:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
@@ -157,7 +159,8 @@ class TestKernelHandling:
         spec = dataclasses.replace(bandit2_spec, kernel=None)
         program = generate(spec)
         res = execute(program, {"N": 4})
-        assert res.mode == "wavefront"
+        assert res.mode == auto_mode(program)
+        assert res.mode != "interpret"
         assert res.objective_value == pytest.approx(
             two_arm_reference(4), abs=1e-12
         )

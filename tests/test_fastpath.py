@@ -12,6 +12,8 @@ instances.
 from __future__ import annotations
 
 import dataclasses
+import shutil
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +27,12 @@ from repro.problems import (
     edit_distance_spec,
     lcs_spec,
     msa_spec,
+    random_hmm,
     random_sequence,
     smith_waterman_spec,
     three_arm_spec,
     two_arm_spec,
+    viterbi_spec,
 )
 from repro.runtime import (
     compiled_executor,
@@ -36,6 +40,8 @@ from repro.runtime import (
     solve_reference,
     vector_unsupported_reason,
 )
+
+from .conftest import auto_mode
 
 
 def assert_bit_identical(program, params):
@@ -158,15 +164,73 @@ class TestHypothesisSweep:
 
 class TestDispatch:
     def test_auto_prefers_wavefront(self, bandit2_program):
-        assert execute(bandit2_program, {"N": 4}).mode == "wavefront"
+        # The preference order: the compiled tile body where it can be
+        # built, else the array engine front at a time.
+        ce = compiled_executor(bandit2_program)
+        want = "native" if ce.native_reason is None else "wavefront"
+        assert execute(bandit2_program, {"N": 4}).mode == want
 
     def test_auto_keeps_wavefront_for_keep_edges(self, bandit2_program):
-        # Retaining packed edges (solution recovery) no longer costs the
+        # Retaining packed edges (solution recovery) does not cost the
         # fused front: under keep_edges every edge is array-packed from
-        # the batch, so auto stays on the wavefront engine.
+        # the batch, so auto resolves as it does without them.
         res = execute(bandit2_program, {"N": 4}, keep_edges=True)
-        assert res.mode == "wavefront"
+        assert res.mode == auto_mode(bandit2_program)
         assert res.edges
+
+    def test_no_compiler_steps_down_to_wavefront(
+        self, bandit2_spec, monkeypatch
+    ):
+        monkeypatch.setattr("shutil.which", lambda *a, **k: None)
+        program = generate(bandit2_spec)
+        assert execute(program, {"N": 4}).mode == "wavefront"
+        assert "no C compiler" in compiled_executor(program).native_reason
+        with pytest.raises(
+            RuntimeExecutionError,
+            match="native mode unavailable: no C compiler",
+        ):
+            execute(program, {"N": 4}, mode="native")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [damerau_spec("ca", "abc", 2), smith_waterman_spec("ca", "abc", 2)],
+        ids=["damerau", "smith-waterman"],
+    )
+    def test_no_c_centre_code_steps_down(self, spec):
+        program = generate(spec)
+        params = {"LA": 2, "LB": 3}
+        assert "no center_code_c" in compiled_executor(program).native_reason
+        assert execute(program, params).mode == "wavefront"
+        with pytest.raises(RuntimeExecutionError, match="no center_code_c"):
+            execute(program, params, mode="native")
+
+    def test_c_centre_code_without_vector_kernel_steps_down(self):
+        # Native mode evaluates over the array engine's geometry.
+        hmm = random_hmm(n_states=3, n_symbols=4, length=6, seed=7)
+        program = generate(viterbi_spec(*hmm, tile_width_t=3))
+        ce = compiled_executor(program)
+        assert program.spec.center_code_c and ce.vector_engine is None
+        assert ce.vector_reason in ce.native_reason
+        assert execute(program, {"T": 5}).mode == "interpret"
+        with pytest.raises(RuntimeExecutionError, match="no vector kernel"):
+            execute(program, {"T": 5}, mode="native")
+
+    def test_failed_build_steps_down_with_the_compiler_error(
+        self, bandit2_spec, tmp_path, monkeypatch
+    ):
+        if shutil.which("gcc") is None and shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec = dataclasses.replace(
+            bandit2_spec, center_code_c="this is not C;"
+        )
+        program = generate(spec)
+        assert execute(program, {"N": 4}).mode == "wavefront"
+        reason = compiled_executor(program).native_reason
+        assert "failed" in reason and "error" in reason
+        with pytest.raises(RuntimeExecutionError, match="error"):
+            execute(program, {"N": 4}, mode="native")
+        assert list(tmp_path.iterdir()) == []
 
     def test_forced_wavefront_accepts_keep_edges(self, bandit2_program):
         res = execute(

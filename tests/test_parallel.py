@@ -33,6 +33,8 @@ from repro.runtime import (
 )
 from repro.simulate import MachineModel, simulate_program
 
+from .conftest import auto_mode, require_native
+
 
 def _assert_same_run(proc, inline):
     assert proc.backend == "process"
@@ -198,7 +200,9 @@ class TestProcessParity:
             program, params, mode=mode, ranks=ranks, schedule=schedule,
             keep_edges=True, backend="process",
         )
-        assert proc.mode == "wavefront"
+        assert proc.mode == (
+            auto_mode(program) if mode == "auto" else "wavefront"
+        )
         assert proc.backend == "process"
         assert proc.objective_value == ref.objective_value
         assert sorted(proc.edges) == sorted(ref.edges)
@@ -209,6 +213,38 @@ class TestProcessParity:
             sum(len(buf) for buf in proc.edges.values())
             == proc.memory["total_packed_cells"]
         )
+
+    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
+    @pytest.mark.parametrize("fixture,params", [
+        ("bandit2_program", {"N": 7}),
+        ("bandit3_program", {"N": 5}),
+        ("delayed_program", {"N": 6}),
+        ("edit_program", {"LA": 14, "LB": 11}),
+        ("lcs3_program", {"L1": 8, "L2": 9, "L3": 10}),
+        ("msa3_program", {"L1": 8, "L2": 9, "L3": 10}),
+    ])
+    def test_native_workers_equal_inline_and_reference(
+        self, request, fixture, params, schedule
+    ):
+        # The library is built in the resolver, before the fork: the
+        # workers inherit the mapping and evaluate their fronts with it.
+        program = request.getfixturevalue(fixture)
+        require_native(program)
+        inline, proc = (
+            execute(
+                program, params, mode="native", ranks=2, schedule=schedule,
+                record_values=True, keep_edges=True, backend=backend,
+            )
+            for backend in ("inline", "process")
+        )
+        assert (proc.mode, proc.backend) == ("native", "process")
+        _assert_same_run(proc, inline)
+        assert proc.values == solve_reference(
+            program, params, record_values=True
+        ).values
+        assert sorted(proc.edges) == sorted(inline.edges)
+        for key, buf in inline.edges.items():
+            assert proc.edges[key].tobytes() == buf.tobytes()
 
     def test_event_trace_is_complete(self, bandit2_program):
         # No global interleaving exists across workers, so the trace is

@@ -24,6 +24,8 @@ from repro.runtime import (
     solve_reference,
 )
 
+from .conftest import auto_mode, require_native
+
 
 @pytest.fixture(scope="module")
 def bandit_recovery(bandit2_program):
@@ -161,7 +163,7 @@ class TestTraceback:
         spec = dataclasses.replace(edit_program.spec, kernel=None)
         rec = SolutionRecovery(generate(spec), params)
         full = SolutionRecovery(edit_program, params)
-        assert rec.result.mode == "wavefront"
+        assert rec.result.mode == auto_mode(edit_program)
         for tile in full.graph.tile_tuples:
             assert rec.tile_values(tile) == full.tile_values(tile)
 
@@ -224,13 +226,42 @@ class TestRecomputation:
     ):
         program = request.getfixturevalue(fixture)
         rec = SolutionRecovery(program, params)
-        assert rec.result.mode == mode
+        # "wavefront" rows: whichever evaluator auto prefers on fronts.
+        assert rec.result.mode == (
+            auto_mode(program) if mode == "wavefront" else mode
+        )
         plane = {}
         for tile in rec.graph.tile_tuples:
             plane.update(rec.tile_values(tile))
         ref = solve_reference(program, params, record_values=True)
         assert plane == ref.values
         assert rec.recomputed_tiles == len(rec.graph.tile_tuples)
+
+    @pytest.mark.parametrize(
+        "fixture, params",
+        [
+            ("edit_program", {"LA": 14, "LB": 11}),
+            ("bandit2_program", {"N": 7}),
+            ("lcs3_program", {"L1": 8, "L2": 9, "L3": 10}),
+        ],
+    )
+    def test_native_recomputation_equals_the_interpreters(
+        self, request, fixture, params, monkeypatch
+    ):
+        program = request.getfixturevalue(fixture)
+        require_native(program)
+        rec = SolutionRecovery(program, params)
+        interp = SolutionRecovery(
+            program, params, kernel=_scalar_twin(program)
+        )
+        assert (rec.result.mode, interp.result.mode) == ("native", "interpret")
+        # Recomputation is the one-tile case of the compiled body: the
+        # level loop's kernel is never reached.
+        monkeypatch.setattr(
+            compiled_executor(program).vector_engine, "vector_kernel", None
+        )
+        for tile in rec.graph.tile_tuples:
+            assert rec.tile_values(tile) == interp.tile_values(tile)
 
     def test_custom_kernel_recomputes_interpreted(self, bandit2_program):
         rec = SolutionRecovery(
@@ -265,7 +296,7 @@ class TestRecomputation:
         monkeypatch.setattr(PackPlan, "pack", scan)
         monkeypatch.setattr(PackPlan, "unpack", scan)
         rec = SolutionRecovery(bandit2_program, {"N": 7})
-        assert rec.result.mode == "wavefront"
+        assert rec.result.mode == auto_mode(bandit2_program)
         path = rec.traceback(
             lambda point, deps, value: next(
                 (n for n, v in deps.items() if v is not None), None
@@ -303,16 +334,20 @@ class TestRecomputation:
 class TestDamagedEdges:
     """A missing or corrupt saved edge is an error, never a silent NaN."""
 
-    @pytest.fixture(params=["array", "interpret"])
-    def recovery(self, request, bandit2_program):
-        kernel = (
-            None if request.param == "array"
-            else _scalar_twin(bandit2_program)
-        )
-        rec = SolutionRecovery(bandit2_program, {"N": 7}, kernel=kernel)
-        assert rec.result.mode == (
-            "wavefront" if request.param == "array" else "interpret"
-        )
+    @pytest.fixture(params=["array", "interpret", "native"])
+    def recovery(self, request, bandit2_program, monkeypatch):
+        program, kernel, mode = bandit2_program, None, request.param
+        if mode == "array":
+            # A fresh program probed with no compiler in sight: auto
+            # steps down to the array engine's own evaluator.
+            monkeypatch.setattr("shutil.which", lambda *a, **k: None)
+            program, mode = generate(program.spec), "wavefront"
+        elif mode == "native":
+            require_native(program)
+        else:
+            kernel = _scalar_twin(program)
+        rec = SolutionRecovery(program, {"N": 7}, kernel=kernel)
+        assert rec.result.mode == mode
         return rec
 
     def test_poisoned_edge_names_tile_template_point(self, recovery):

@@ -19,7 +19,13 @@ from repro.errors import RuntimeExecutionError
 from repro.generator import generate
 from repro.problems import random_hmm, viterbi_spec
 from repro.analysis import default_params
-from repro.runtime import SCHEDULE_POLICIES, encode_events, execute, run_spmd
+from repro.runtime import (
+    EXECUTION_MODES,
+    SCHEDULE_POLICIES,
+    encode_events,
+    execute,
+    run_spmd,
+)
 from repro.runtime.tuner import (
     TuningDecision,
     candidate_tile_widths,
@@ -225,7 +231,7 @@ class TestExecuteIntegration:
             record_values=True, record_events=True,
         )
         config = first.config
-        assert config.mode in ("interpret", "vector", "wavefront")
+        assert config.mode in EXECUTION_MODES and config.mode != "auto"
         assert config.schedule in SCHEDULE_POLICIES
         assert dict(config.tile_widths) == first.tile_widths
         assert set(first.tile_widths) == set(program.spec.loop_vars)

@@ -11,7 +11,9 @@ masked lane gather's own contract (a front never goes through the
 per-tile entry point, masks equal to the interpreter's compiled checks
 cell by cell, the sub-batch lane list equal to a scan per level, the
 one-tile case byte-identical to the batched one, sub-batching invisible,
-a front wider than its arena rejected), the array
+a front wider than its arena rejected), the compiled tile body's
+contract (``mode="native"`` equal to wavefront mode in values, cells,
+tile order, edge bytes and trace hashes), the array
 pack/unpack contract (byte-for-byte the ``PackPlan`` scans; wavefront
 runs retain interpreter-identical edges under ``keep_edges``), the
 deadlock-free guarantee of batch draining under pathological rank
@@ -55,6 +57,8 @@ from repro.runtime import fastpath
 from repro.runtime.fastpath import LaneGather, VectorTileEngine, WavefrontRun
 from repro.runtime.scheduler import TileScheduler, encode_events
 from repro.runtime.spmd import spmd_rank_assignment
+
+from .conftest import auto_mode, require_native
 
 
 def _problem_matrix():
@@ -158,11 +162,37 @@ class TestEngineParity:
         multi = run_spmd(
             program, params, ranks=ranks, record_values=True
         )
-        assert multi.mode == "wavefront"
+        assert multi.mode == auto_mode(program)
         assert multi.objective_value == single.objective_value
         assert multi.values == single.values
         assert multi.cells_computed == single.cells_computed
         assert sum(multi.tiles_per_rank) == multi.tiles_executed
+
+    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
+    @pytest.mark.parametrize("ranks", [1, 2, 3])
+    def test_native_equals_wavefront_and_reference(
+        self, case, ranks, schedule
+    ):
+        # The compiled tile body is one more evaluator under the same
+        # front dispatch: nothing a run reports may tell them apart.
+        program, params = case
+        require_native(program)
+        native, wave = (
+            execute(
+                program, params, mode=mode, ranks=ranks, schedule=schedule,
+                record_values=True, keep_edges=True,
+            )
+            for mode in ("native", "wavefront")
+        )
+        ref = solve_reference(program, params, record_values=True)
+        assert native.mode == "native"
+        assert native.values == wave.values == ref.values
+        assert native.objective_value == ref.objective_value
+        assert native.cells_computed == wave.cells_computed
+        assert native.tile_order == wave.tile_order
+        assert list(native.edges) == list(wave.edges)
+        for key, buf in wave.edges.items():
+            assert native.edges[key].tobytes() == buf.tobytes()
 
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     def test_event_trace_deterministic(self, case, ranks):
@@ -431,6 +461,21 @@ class TestMaskedLaneGather:
     def test_poisoned_interior_names_tile_template_point(
         self, bandit2_program
     ):
+        self._poisoned_interior(bandit2_program, native=None)
+
+    def test_poisoned_interior_names_tile_template_point_native(
+        self, bandit2_program
+    ):
+        # The compiled body names the first poisoned read in the tile's
+        # scan order, the level loop the first in level order: possibly
+        # different points, the same contract.
+        require_native(bandit2_program)
+        self._poisoned_interior(
+            bandit2_program,
+            native=compiled_executor(bandit2_program).native_library,
+        )
+
+    def _poisoned_interior(self, bandit2_program, native):
         params = {"N": 8}
         spec = bandit2_program.spec
         graph = tile_graph(bandit2_program, params)
@@ -455,7 +500,7 @@ class TestMaskedLaneGather:
             for row in range(len(tiles))
             if consumers(row) and consumers(row) <= ragged
         )
-        run = WavefrontRun(engine, graph, params)
+        run = WavefrontRun(engine, graph, params, native=native)
         sched = TileScheduler(graph, batch=True)
         sched.seed()
         with pytest.raises(RuntimeExecutionError) as err:
@@ -572,7 +617,9 @@ class TestArrayPackUnpack:
             program, params, mode=mode, ranks=ranks, schedule=schedule,
             keep_edges=True,
         )
-        assert wave.mode == "wavefront"
+        assert wave.mode == (
+            auto_mode(program) if mode == "auto" else "wavefront"
+        )
         assert wave.objective_value == ref.objective_value
         assert list(sorted(wave.edges)) == list(sorted(ref.edges))
         for key, buf in ref.edges.items():
@@ -710,6 +757,32 @@ class TestArrayPackUnpack:
         assert digest == self.PINNED_TRACES[key]
 
 
+    @pytest.mark.parametrize(
+        "key",
+        sorted(
+            (k for k in PINNED_TRACES if len(k) == 3 or k[3] == "wavefront"),
+            key=str,
+        ),
+        ids=lambda key: "-".join(map(str, key)),
+    )
+    def test_native_traces_hash_to_the_wavefront_pins(self, key):
+        # No constants of its own: the scheduler cannot tell the two
+        # evaluators of a front apart.
+        name, ranks, schedule = key[:3]
+        keep_edges = len(key) > 4
+        _, spec, params = MATRIX[MATRIX_IDS.index(name)]
+        program = generate(spec)
+        require_native(program)
+        res = execute(
+            program, params, mode="native", ranks=ranks,
+            schedule=schedule, record_events=True, keep_edges=keep_edges,
+        )
+        digest = hashlib.sha256(encode_events(res.events)).hexdigest()[:16]
+        if keep_edges:
+            digest = (digest, self._edges_digest(res.edges))
+        assert digest == self.PINNED_TRACES[key]
+
+
 class TestBatchDrainLiveness:
     """Batch draining never deadlocks, whatever the rank partition."""
 
@@ -740,7 +813,7 @@ class TestBatchDrainLiveness:
                 rank_of=rank_of,
                 record_values=True,
             )
-            assert res.mode == "wavefront"
+            assert res.mode == auto_mode(bandit2_program)
             assert res.objective_value == base.objective_value
             assert res.values == base.values
 
